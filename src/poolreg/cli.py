@@ -225,6 +225,12 @@ def _cmd_estimate(opt) -> int:
     else:
         raise CliError(f"unknown estimator {name!r}")
 
+    if pooled is not None and not pooled.z_star().any():
+        log.warning(
+            "every pool tested positive (%d pools): p_hat = 1 everywhere carries "
+            "no information about the curve; use a smaller group size nu",
+            pooled.n_groups,
+        )
     n_clamped = int((result.clamp_flags != 0).sum())
     n_failed = int((result.failures != 0).sum())
     if n_clamped:

@@ -24,10 +24,11 @@ import numpy as np
 from .kernels import Kernel
 from .models import PrevalenceModel
 from .pooling import PooledDataset, RawDataset
-from .smoothing import (
+# grid_fit_local_linear_multi is not called here (grid_fit_with_widening runs
+# it); it stays importable from this module because perfbench's tracer hooks
+# the fits by name in both modules.
+from .smoothing import (  # noqa: F401
     SmootherSpec,
-    WIDEN_ATTEMPTS,
-    WIDEN_FACTOR,
     _grid_fit_1d,
     grid_fit_local_linear_multi,
     grid_fit_with_widening,
@@ -260,20 +261,9 @@ def estimate_dh_binned(
         )
     else:
         h = select_bandwidth_multi(centers, z, spec.kernel, spec.bandwidth)
-        res = grid_fit_local_linear_multi(centers, z, spec.kernel, h, grid_pts)
-        if widen_on_failure:
-            h_wide = h
-            for _ in range(WIDEN_ATTEMPTS):
-                bad = np.flatnonzero(res["flag"] == 2)
-                if bad.size == 0:
-                    break
-                h_wide *= WIDEN_FACTOR
-                retry = grid_fit_local_linear_multi(
-                    centers, z, spec.kernel, h_wide, grid_pts[bad]
-                )
-                res["value"][bad] = retry["value"]
-                res["flag"][bad] = retry["flag"]
-                res["count"][bad] = retry["count"]
+        res = grid_fit_with_widening(
+            centers, z, 1, spec.kernel, h, grid_pts, widen_on_failure
+        )
 
     mu_raw = res["value"]
     if (res["flag"] == 2).all() and res["flag"].size:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -37,13 +38,23 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _parse_float(text: str, row: int, col: str, path) -> float:
+def _parse_float(text: str, row: int, col: str, path, *, finite: bool = True) -> float:
+    """Parse one numeric cell; ``nan``/``inf`` are rejected unless ``finite=False``.
+
+    Covariates, grids, group sizes and bandwidths must be finite; estimate and
+    table columns may hold NaN for failed points and replicates.
+    """
     try:
-        return float(text)
+        val = float(text)
     except ValueError:
         raise DataFormatError(
             f"{path}: malformed numeric cell at row {row}, column {col!r}: {text!r}"
         ) from None
+    if finite and not math.isfinite(val):
+        raise DataFormatError(
+            f"{path}: non-finite value at row {row}, column {col!r}: {text!r}"
+        )
+    return val
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +270,8 @@ def read_estimate_csv(path) -> EstimateResult:
     for i, row in enumerate(rows, start=2):
         vals = [_parse_float(c, i, header[j], path) for j, c in enumerate(row[:d])]
         grid.append(vals if d > 1 else vals[0])
-        p_hat.append(_parse_float(row[d], i, "p_hat", path))
-        mu_hat.append(_parse_float(row[d + 1], i, "mu_hat", path))
+        p_hat.append(_parse_float(row[d], i, "p_hat", path, finite=False))
+        mu_hat.append(_parse_float(row[d + 1], i, "mu_hat", path, finite=False))
         clamps.append(CLAMP_NAMES.index(row[d + 2]))
         fails.append(FAIL_NAMES.index(row[d + 3]))
         tag = row[d + 4]
@@ -351,8 +362,8 @@ def read_table_csv(path) -> list[TableRow]:
             if not row:
                 continue
             cell = SummaryCell(
-                _parse_float(row[5], i, "med_ise_e4", path),
-                _parse_float(row[6], i, "iqr_ise_e4", path),
+                _parse_float(row[5], i, "med_ise_e4", path, finite=False),
+                _parse_float(row[6], i, "iqr_ise_e4", path, finite=False),
                 int(row[7]),
                 int(row[8]),
             )
@@ -428,7 +439,8 @@ def read_traces_csv(path) -> list[TraceRow]:
         for i, row in enumerate(reader, start=2):
             if not row:
                 continue
-            val = None if row[6] == "" else _parse_float(row[6], i, "ise", path)
+            val = (None if row[6] == ""
+                   else _parse_float(row[6], i, "ise", path, finite=False))
             rows.append(
                 TraceRow(row[0], row[1], int(row[2]), int(row[3]), row[4],
                          int(row[5]), val)

@@ -31,29 +31,48 @@ class Kernel:
     second_moment: float
     l2_norm: float
 
-    def pdf(self, u: np.ndarray) -> np.ndarray:
-        """Evaluate the density K(u) elementwise."""
-        u = np.asarray(u, dtype=float)
-        if self.family == "gaussian":
-            return np.exp(-0.5 * u * u) / _SQRT_2PI
-        if self.family == "epanechnikov":
-            out = 0.75 * (1.0 - u * u)
-            return np.where(np.abs(u) <= 1.0, out, 0.0)
-        # uniform
-        return np.where(np.abs(u) <= 1.0, 0.5, 0.0)
+    def pdf(self, u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Evaluate the density K(u) elementwise.
 
-    def radial_profile(self, r2: np.ndarray) -> np.ndarray:
+        The result goes to ``out`` when given, which may be ``u`` itself: grid
+        fits evaluate their weights in place, in reused buffers.
+        """
+        u = np.asarray(u, dtype=float)
+        if out is None:
+            out = np.empty_like(u)
+        if self.family == "gaussian":
+            np.multiply(u, u, out=out)
+            out *= -0.5
+            np.exp(out, out=out)
+            out /= _SQRT_2PI
+            return out
+        inside = np.abs(u) <= 1.0
+        if self.family == "epanechnikov":
+            np.multiply(u, u, out=out)
+            np.subtract(1.0, out, out=out)
+            out *= 0.75
+            out[~inside] = 0.0
+            return out
+        # uniform
+        return np.multiply(inside, 0.5, out=out)
+
+    def radial_profile(self, r2: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Unnormalized spherically-symmetric profile at squared radius r2.
 
         Used for d-variate weights; the normalization constant cancels in
-        any weight-normalized smoother, so it is omitted.
+        any weight-normalized smoother, so it is omitted.  ``out`` works as in
+        ``pdf``.
         """
         r2 = np.asarray(r2, dtype=float)
+        if out is None:
+            out = np.empty_like(r2)
         if self.family == "gaussian":
-            return np.exp(-0.5 * r2)
+            np.multiply(r2, -0.5, out=out)
+            return np.exp(out, out=out)
         if self.family == "epanechnikov":
-            return np.maximum(1.0 - r2, 0.0)
-        return np.where(r2 <= 1.0, 1.0, 0.0)
+            np.subtract(1.0, r2, out=out)
+            return np.maximum(out, 0.0, out=out)
+        return np.multiply(r2 <= 1.0, 1.0, out=out)
 
     @property
     def at_zero(self) -> float:

@@ -7,6 +7,16 @@ linear combination of the responses: the normalized coefficients of that
 combination are the *effective weights* of the fit.  Everything downstream
 (prevalence estimators, cross-validation, plug-in bandwidths) is built on
 this one routine.
+
+All grid fits (univariate values and derivatives, and the d-variate local
+linear fit) share one exact moment engine, ``_local_moments``.  It groups
+the evaluation points into blocks of up to 64 nearby points and the design
+into slabs of 2048 points, so that a block's kernel weights (1 MiB) stay in
+a 2 MiB per-core L2 cache.  Per block it expands the basis about the block
+midpoint and forms every weighted moment with one matrix product, then
+shifts the moments exactly back to each evaluation point.  The dense
+per-point implementation it replaced is kept in the tests as the oracle it
+is checked against (``tests/dense_oracle.py``).
 """
 
 from __future__ import annotations
@@ -27,7 +37,11 @@ PIVOT_REL_TOL = 1e-12
 # Above the hard threshold but below this, fits are flagged near_singular.
 PIVOT_WARN_TOL = 1e-6
 
-_CHUNK_BUDGET = 2_000_000  # max J*C elements per temporary in grid fits
+# Grid fits work on blocks of _EVAL_BLOCK evaluation points against slabs of
+# _DESIGN_SLAB design points: a block's kernel weights, 64 x 2048 doubles
+# (1 MiB), stay in a 2 MiB per-core L2 cache across the passes made over them.
+_EVAL_BLOCK = 64
+_DESIGN_SLAB = 2048
 
 
 class BandwidthError(ValueError):
@@ -158,6 +172,149 @@ def _solve_batched(S: np.ndarray, rhs: np.ndarray):
     return X, min_rel_pivot
 
 
+def _eval_blocks(x_eval: np.ndarray, width: float) -> list[np.ndarray]:
+    """Split the evaluation points into blocks of nearby points.
+
+    A block holds at most ``_EVAL_BLOCK`` points, all inside one cell of side
+    ``width`` per coordinate, so each lies within ``width / 2`` of the
+    midpoint of the block's bounding box.
+    """
+    cell = np.floor((x_eval - x_eval.min(axis=0)) / width)
+    order = np.lexsort(cell.T[::-1])
+    cell = cell[order]
+    starts = np.flatnonzero(np.r_[True, (cell[1:] != cell[:-1]).any(axis=1)])
+    rank = np.arange(order.size) - np.repeat(starts, np.diff(np.r_[starts, order.size]))
+    return np.split(order, np.flatnonzero(rank % _EVAL_BLOCK == 0)[1:])
+
+
+def _basis(s: np.ndarray, n: int) -> np.ndarray:
+    """phi(s): the powers 1, s, .., s^(n-1) of a univariate s, else (1, s_1, .., s_d)."""
+    if s.shape[1] == 1:
+        return np.vander(s[:, 0], n, increasing=True)
+    return np.column_stack([np.ones(s.shape[0]), s])
+
+
+def _shift_matrix(delta: np.ndarray, n: int) -> np.ndarray:
+    """A(delta) with phi(s - delta) = A(delta) phi(s), one matrix per row of delta.
+
+    Binomial for the univariate powers; ``[[1, 0], [-delta, I]]`` for the
+    d-variate linear basis (the two agree for d = 1, degree 1).
+    """
+    C, d = delta.shape
+    A = np.zeros((C, n, n))
+    if d == 1:
+        pw = np.vander(-delta[:, 0], n, increasing=True)
+        for k in range(n):
+            for j in range(k + 1):
+                A[:, k, j] = math.comb(k, j) * pw[:, k - j]
+    else:
+        A[:, 0, 0] = 1.0
+        A[:, 1:, 0] = -delta
+        A[:, np.arange(1, n), np.arange(1, n)] = 1.0
+    return A
+
+
+def _local_moments(
+    u: np.ndarray,
+    z: np.ndarray,
+    degree: int,
+    kern: Kernel,
+    h: float,
+    x_eval: np.ndarray,
+):
+    """Weighted moments of the local fit at every evaluation point.
+
+    ``u`` is (J, d) and ``x_eval`` (M, d).  With ``t = (u - x)/h``, weights
+    ``w = kern.pdf(t)`` for d = 1 and ``kern.radial_profile(|t|^2)`` for
+    d >= 2, and the basis phi(t) = (1, t, .., t^degree) for d = 1 or
+    (1, t_1, .., t_d) (local linear) for d >= 2, returns
+    ``S = sum_j w_j phi(t_j) phi(t_j)^T`` (M, n, n),
+    ``r = sum_j w_j z_j phi(t_j)`` (M, n) and the number of design points
+    with nonzero weight (M,).
+
+    Work runs block by block (see ``_eval_blocks``) over slabs of
+    ``_DESIGN_SLAB`` design points.  Within a block the basis is expanded about
+    the block midpoint x0, ``s = (u - x0)/h``, so one matrix product ``W @ P``,
+    with P the basis products of s and z, sums every moment of the block.  The
+    exact shift ``phi(s - delta) = A(delta) phi(s)``, ``delta = (x - x0)/h``,
+    then gives ``S = A S_s A^T`` and ``r = A r_s``.  Kernel arguments are
+    formed as ``(u - x)/h``, as a dense fit forms them, so counts and compact
+    supports do not depend on the blocking.
+    """
+    J, d = u.shape
+    M = x_eval.shape[0]
+    n = degree + 1 if d == 1 else d + 1
+    iu, ju = np.triu_indices(n)
+    n_pairs = iu.size
+    S = np.zeros((M, n, n))
+    r = np.zeros((M, n))
+    count = np.zeros(M, dtype=np.int64)
+    if M == 0:
+        return S, r, count
+
+    # one set of buffers per call: a fresh 1 MiB temporary per block and slab
+    # costs more in page faults than the arithmetic done on it
+    shape = (min(M, _EVAL_BLOCK), min(J, _DESIGN_SLAB))
+    w_buf = np.empty(shape)
+    t_buf = np.empty(shape) if d > 1 else None
+    pos_buf = np.empty(shape, dtype=bool)
+    # Re-centring cancels terms as large as (|t| + 2|delta|)^(2 degree) down
+    # to moments of size |t|^(2 degree).  Blocks 2h/degree wide keep
+    # |delta| <= 1/degree, so that loss stays below (1 + 2/degree)^(2 degree),
+    # under e^4 ~ 55 units in the last place whatever the degree.
+    for idx in _eval_blocks(x_eval, 2.0 * h / degree):
+        x = x_eval[idx]
+        x0 = 0.5 * (x.min(axis=0) + x.max(axis=0))
+        G = np.zeros((idx.size, n_pairs + n))
+        cnt = np.zeros(idx.size, dtype=np.int64)
+        for lo in range(0, J, _DESIGN_SLAB):
+            us = u[lo : lo + _DESIGN_SLAB]
+            w = w_buf[: idx.size, : us.shape[0]]
+            np.subtract(us[None, :, 0], x[:, None, 0], out=w)
+            w /= h
+            if d == 1:
+                kern.pdf(w, out=w)
+            else:
+                np.multiply(w, w, out=w)
+                t = t_buf[: idx.size, : us.shape[0]]
+                for k in range(1, d):
+                    np.subtract(us[None, :, k], x[:, None, k], out=t)
+                    t /= h
+                    w += np.multiply(t, t, out=t)
+                kern.radial_profile(w, out=w)
+            cnt += np.greater(w, 0.0, out=pos_buf[: idx.size, : us.shape[0]]).sum(axis=1)
+            phi = _basis((us - x0) / h, n)
+            zs = z[lo : lo + _DESIGN_SLAB, None]
+            G += w @ np.hstack([phi[:, iu] * phi[:, ju], zs * phi])
+        S_s = np.empty((idx.size, n, n))
+        S_s[:, iu, ju] = G[:, :n_pairs]
+        S_s[:, ju, iu] = G[:, :n_pairs]
+        A = _shift_matrix((x - x0) / h, n)
+        S[idx] = A @ S_s @ A.transpose(0, 2, 1)
+        r[idx] = (A @ G[:, n_pairs:, None])[:, :, 0]
+        count[idx] = cnt
+    return S, r, count
+
+
+def _intercept_fit(S: np.ndarray, r: np.ndarray, count: np.ndarray):
+    """Solve S a = e1 at every point: (a, value, flag).
+
+    ``value = a . r`` is NaN where the fit fails; flag codes are 0=ok,
+    1=near_singular, 2=failed (fewer than n weighted points, or a relative
+    pivot below ``PIVOT_REL_TOL``).
+    """
+    M, n, _ = S.shape
+    e1 = np.zeros((M, n, 1))
+    e1[:, 0, 0] = 1.0
+    a, rel_piv = _solve_batched(S, e1)
+    a = a[:, :, 0]
+    ok = (count >= n) & (rel_piv >= PIVOT_REL_TOL)
+    near = ok & (rel_piv < PIVOT_WARN_TOL)
+    value = np.where(ok, np.einsum("ck,ck->c", a, r), np.nan)
+    flag = np.where(ok, np.where(near, 1, 0), 2).astype(np.int8)
+    return a, value, flag
+
+
 def _grid_fit_1d(
     u: np.ndarray,
     z: np.ndarray,
@@ -176,64 +333,15 @@ def _grid_fit_1d(
     on request, the leave-one-out self weight ``self_w`` (valid when the
     evaluation points are design points).
     """
-    L1 = degree + 1
-    M = x_eval.shape[0]
-    values = np.full(M, np.nan)
-    flags = np.full(M, 2, dtype=np.int8)
-    counts = np.zeros(M, dtype=np.int64)
-    alphas = np.zeros((M, L1))
-    self_w = np.full(M, np.nan) if want_self_weight else None
-
-    J = u.shape[0]
-    chunk = max(1, min(M, _CHUNK_BUDGET // max(J, 1)))
-    n_mom = 2 * degree + 1
-
-    for start in range(0, M, chunk):
-        xs = x_eval[start : start + chunk]
-        Cc = xs.shape[0]
-        t = (u[:, None] - xs[None, :]) / h
-        w = kern.pdf(t)
-
-        m = np.empty((n_mom, Cc))
-        acc = w.copy()
-        m[0] = acc.sum(axis=0)
-        for k in range(1, n_mom):
-            acc *= t
-            m[k] = acc.sum(axis=0)
-
-        r = np.empty((L1, Cc))
-        acc = w * z[:, None]
-        r[0] = acc.sum(axis=0)
-        for k in range(1, L1):
-            acc *= t
-            r[k] = acc.sum(axis=0)
-
-        idx = np.add.outer(np.arange(L1), np.arange(L1))
-        S = m[idx].transpose(2, 0, 1)
-
-        e1 = np.zeros((Cc, L1, 1))
-        e1[:, 0, 0] = 1.0
-        a, rel_piv = _solve_batched(S, e1)
-        a = a[:, :, 0]
-
-        cnt = (w > 0.0).sum(axis=0)
-        ok_count = cnt >= L1
-        ok_piv = rel_piv >= PIVOT_REL_TOL
-        ok = ok_count & ok_piv
-        near = ok & (rel_piv < PIVOT_WARN_TOL)
-
-        val = np.einsum("ck,kc->c", a, r)
-        sl = slice(start, start + Cc)
-        values[sl] = np.where(ok, val, np.nan)
-        flags[sl] = np.where(ok, np.where(near, 1, 0), 2).astype(np.int8)
-        counts[sl] = cnt
-        alphas[sl] = a
-        if want_self_weight:
-            self_w[sl] = kern.at_zero * a[:, 0]
-
-    out = {"value": values, "flag": flags, "count": counts, "alpha": alphas}
+    u = np.asarray(u, dtype=float)
+    x_eval = np.asarray(x_eval, dtype=float)
+    S, r, count = _local_moments(
+        u[:, None], np.asarray(z, dtype=float), degree, kern, h, x_eval[:, None]
+    )
+    a, value, flag = _intercept_fit(S, r, count)
+    out = {"value": value, "flag": flag, "count": count, "alpha": a}
     if want_self_weight:
-        out["self_w"] = self_w
+        out["self_w"] = kern.at_zero * a[:, 0]
     return out
 
 
@@ -298,8 +406,17 @@ def grid_fit_with_widening(
     x_eval: np.ndarray,
     widen_on_failure: bool = False,
 ):
-    """Grid fit that optionally rescues failed points with doubled bandwidths."""
-    res = _grid_fit_1d(u, z, degree, kern, h, x_eval)
+    """Grid fit that optionally rescues failed points with doubled bandwidths.
+
+    A (J,) design runs the univariate fit of the given degree; a (J, d)
+    design with (M, d) evaluation points runs the d-variate local linear fit.
+    """
+    def fit(h_fit, x):
+        if np.ndim(u) == 1:
+            return _grid_fit_1d(u, z, degree, kern, h_fit, x)
+        return grid_fit_local_linear_multi(u, z, kern, h_fit, x)
+
+    res = fit(h, x_eval)
     if not widen_on_failure:
         return res
     h_wide = float(h)
@@ -308,7 +425,7 @@ def grid_fit_with_widening(
         if bad.size == 0:
             break
         h_wide *= WIDEN_FACTOR
-        retry = _grid_fit_1d(u, z, degree, kern, h_wide, x_eval[bad])
+        retry = fit(h_wide, x_eval[bad])
         res["value"][bad] = retry["value"]
         res["flag"][bad] = retry["flag"]
         res["count"][bad] = retry["count"]
@@ -337,41 +454,14 @@ def local_poly_derivatives(
     t^k is beta_k = f^(k) h^k / k!.
     """
     u = np.asarray(u, dtype=float)
-    z = np.asarray(z, dtype=float)
     x_eval = np.asarray(x_eval, dtype=float)
-    L1 = degree + 1
-    M = x_eval.shape[0]
-    out = np.full((M, L1), np.nan)
-
-    J = u.shape[0]
-    chunk = max(1, min(M, _CHUNK_BUDGET // max(J, 1)))
-    n_mom = 2 * degree + 1
-    for start in range(0, M, chunk):
-        xs = x_eval[start : start + chunk]
-        Cc = xs.shape[0]
-        t = (u[:, None] - xs[None, :]) / h
-        w = kern.pdf(t)
-        m = np.empty((n_mom, Cc))
-        acc = w.copy()
-        m[0] = acc.sum(axis=0)
-        for k in range(1, n_mom):
-            acc *= t
-            m[k] = acc.sum(axis=0)
-        r = np.empty((L1, Cc))
-        acc = w * z[:, None]
-        r[0] = acc.sum(axis=0)
-        for k in range(1, L1):
-            acc *= t
-            r[k] = acc.sum(axis=0)
-        idx = np.add.outer(np.arange(L1), np.arange(L1))
-        S = m[idx].transpose(2, 0, 1)
-        beta, rel_piv = _solve_batched(S, r.T[:, :, None])
-        beta = beta[:, :, 0]
-        ok = ((w > 0.0).sum(axis=0) >= L1) & (rel_piv >= PIVOT_REL_TOL)
-        fact = np.array([math.factorial(k) / h**k for k in range(L1)])
-        deriv = beta * fact[None, :]
-        out[start : start + Cc] = np.where(ok[:, None], deriv, np.nan)
-    return out
+    S, r, count = _local_moments(
+        u[:, None], np.asarray(z, dtype=float), degree, kern, h, x_eval[:, None]
+    )
+    beta, rel_piv = _solve_batched(S, r[:, :, None])
+    ok = (count >= degree + 1) & (rel_piv >= PIVOT_REL_TOL)
+    fact = np.array([math.factorial(k) / h**k for k in range(degree + 1)])
+    return np.where(ok[:, None], beta[:, :, 0] * fact[None, :], np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +512,39 @@ def _cv_eval_indices(u: np.ndarray, cap: int) -> np.ndarray:
     return inner[picks]
 
 
+def _loo_score(res: dict, z_at: np.ndarray) -> float:
+    """Mean squared leave-one-out error of a self-weighted fit at design points.
+
+    Uses the weighted-least-squares deletion identity
+    ``z_hat_{-j} = (z_hat_j - l_j z_j) / (1 - l_j)`` with the leverage
+    ``l_j = res["self_w"]``, exact because the weights do not depend on z.
+    Returns inf when any fit fails or has leverage near one (candidate
+    unusable).
+    """
+    if (res["flag"] == 2).any():
+        return math.inf
+    lev = res["self_w"]
+    denom = 1.0 - lev
+    if (denom <= 1e-10).any():
+        return math.inf
+    loo = (res["value"] - lev * z_at) / denom
+    return float(np.mean((z_at - loo) ** 2))
+
+
+def _cv_choice(cands: np.ndarray, scores: np.ndarray, z: np.ndarray) -> float:
+    """The candidate with the least CV score; near-ties go to the smallest h.
+
+    Scores within ``1e-12 * max(best, mean z^2, 1e-300)`` of the best are
+    floating-point noise, so they count as ties.  ``cands`` is ascending.
+    """
+    finite = np.isfinite(scores)
+    if not finite.any():
+        raise BandwidthError("every candidate bandwidth failed to fit")
+    best = scores[finite].min()
+    tol = 1e-12 * max(best, float(np.mean(z * z)), 1e-300)
+    return float(cands[int(np.argmax(scores <= best + tol))])
+
+
 def loo_cv_score(
     u: np.ndarray,
     z: np.ndarray,
@@ -432,21 +555,12 @@ def loo_cv_score(
 ) -> float:
     """Exact leave-one-out squared prediction error at the given design points.
 
-    Uses the weighted-least-squares deletion identity
-    ``z_hat_{-j} = (z_hat_j - l_j z_j) / (1 - l_j)`` with leverage
-    ``l_j = K(0) a_0(u_j)``, exact because the weights do not depend on z.
-    Returns inf when any evaluation fit fails (candidate unusable).
+    The leverage of design point j is ``l_j = K(0) a_0(u_j)``; see
+    ``_loo_score``.  Returns inf when any evaluation fit fails (candidate
+    unusable).
     """
     res = _grid_fit_1d(u, z, degree, kern, h, u[eval_idx], want_self_weight=True)
-    if (res["flag"] == 2).any():
-        return math.inf
-    lev = res["self_w"]
-    denom = 1.0 - lev
-    if (denom <= 1e-10).any():
-        return math.inf
-    z_at = z[eval_idx]
-    loo = (res["value"] - lev * z_at) / denom
-    return float(np.mean((z_at - loo) ** 2))
+    return _loo_score(res, z[eval_idx])
 
 
 def select_bandwidth(
@@ -493,15 +607,13 @@ def select_bandwidth(
     scores = np.array(
         [loo_cv_score(u, z, spec.degree, spec.kernel, h, eval_idx) for h in cands]
     )
-    if not np.isfinite(scores).any():
+    try:
+        h_cv = _cv_choice(cands, scores, z)
+    except BandwidthError as exc:
         raise BandwidthError(
-            "every candidate bandwidth failed to fit; "
-            f"smallest usable h is about {_min_usable_h(u, spec.degree, spec.kernel):.6g}"
-        )
-    # scores within floating noise of the minimum are ties -> smallest h wins
-    best = np.nanmin(np.where(np.isfinite(scores), scores, np.nan))
-    tol = 1e-12 * max(best, float(np.mean(z * z)), 1e-300)
-    h_cv = float(cands[int(np.argmax(scores <= best + tol))])
+            f"{exc}; smallest usable h is about "
+            f"{_min_usable_h(u, spec.degree, spec.kernel):.6g}"
+        ) from None
 
     if rule.mode == "cross_validation":
         return float(min(max(h_cv, lo), hi))
@@ -593,58 +705,15 @@ def grid_fit_local_linear_multi(
     spherically symmetric radial profile.  Returns the same dict layout as
     the univariate grid fit.
     """
-    centers = np.asarray(centers, dtype=float)
-    x_eval = np.asarray(x_eval, dtype=float)
-    z = np.asarray(z, dtype=float)
-    J, d = centers.shape
-    M = x_eval.shape[0]
-    n = d + 1
-
-    values = np.full(M, np.nan)
-    flags = np.full(M, 2, dtype=np.int8)
-    counts = np.zeros(M, dtype=np.int64)
-    self_w = np.full(M, np.nan) if want_self_weight else None
-
-    chunk = max(1, min(M, _CHUNK_BUDGET // max(J * d, 1)))
-    for start in range(0, M, chunk):
-        xs = x_eval[start : start + chunk]
-        Cc = xs.shape[0]
-        t = (centers[:, None, :] - xs[None, :, :]) / h  # (J, C, d)
-        w = kern.radial_profile((t * t).sum(axis=2))  # (J, C)
-
-        S = np.empty((Cc, n, n))
-        T = np.empty((Cc, n))
-        S[:, 0, 0] = w.sum(axis=0)
-        wz = w * z[:, None]
-        T[:, 0] = wz.sum(axis=0)
-        for k in range(d):
-            wtk = w * t[:, :, k]
-            S[:, 0, k + 1] = S[:, k + 1, 0] = wtk.sum(axis=0)
-            T[:, k + 1] = (wz * t[:, :, k]).sum(axis=0)
-            for l in range(k, d):
-                S[:, k + 1, l + 1] = S[:, l + 1, k + 1] = (wtk * t[:, :, l]).sum(axis=0)
-
-        e1 = np.zeros((Cc, n, 1))
-        e1[:, 0, 0] = 1.0
-        a, rel_piv = _solve_batched(S, e1)
-        a = a[:, :, 0]
-
-        cnt = (w > 0.0).sum(axis=0)
-        ok = (cnt >= n) & (rel_piv >= PIVOT_REL_TOL)
-        near = ok & (rel_piv < PIVOT_WARN_TOL)
-        val = np.einsum("ck,ck->c", a, T)
-
-        sl = slice(start, start + Cc)
-        values[sl] = np.where(ok, val, np.nan)
-        flags[sl] = np.where(ok, np.where(near, 1, 0), 2).astype(np.int8)
-        counts[sl] = cnt
-        if want_self_weight:
-            # radial_profile(0) == 1 for every family
-            self_w[sl] = a[:, 0]
-
-    out = {"value": values, "flag": flags, "count": counts}
+    S, r, count = _local_moments(
+        np.asarray(centers, dtype=float), np.asarray(z, dtype=float), 1, kern, h,
+        np.asarray(x_eval, dtype=float),
+    )
+    a, value, flag = _intercept_fit(S, r, count)
+    out = {"value": value, "flag": flag, "count": count}
     if want_self_weight:
-        out["self_w"] = self_w
+        # radial_profile(0) == 1 for every family
+        out["self_w"] = a[:, 0]
     return out
 
 
@@ -677,22 +746,15 @@ def select_bandwidth_multi(
     else:
         picks = np.arange(J)
 
-    scores = np.full(cands.shape[0], math.inf)
-    for i, h in enumerate(cands):
-        res = grid_fit_local_linear_multi(
-            centers, z, kern, float(h), centers[picks], want_self_weight=True
+    scores = np.array([
+        _loo_score(
+            grid_fit_local_linear_multi(
+                centers, z, kern, float(h), centers[picks], want_self_weight=True
+            ),
+            z[picks],
         )
-        if (res["flag"] == 2).any():
-            continue
-        denom = 1.0 - res["self_w"]
-        if (denom <= 1e-10).any():
-            continue
-        loo = (res["value"] - res["self_w"] * z[picks]) / denom
-        scores[i] = float(np.mean((z[picks] - loo) ** 2))
-    if not np.isfinite(scores).any():
-        raise BandwidthError("every candidate bandwidth failed to fit")
-    best = scores[np.isfinite(scores)].min()
-    tol = 1e-12 * max(best, float(np.mean(z * z)), 1e-300)
-    best_h = float(cands[int(np.argmax(scores <= best + tol))])
+        for h in cands
+    ])
+    best_h = _cv_choice(cands, scores, z)
     lo, hi = rule.bounds
     return float(min(max(best_h, lo), hi))

@@ -1,6 +1,7 @@
 """Codec round-trips, ingestion contracts and CLI behavior."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -63,6 +64,13 @@ class TestIndividualCsv:
         with pytest.raises(DataFormatError, match="row 3.*'x'"):
             ingest_individual_csv(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_covariate_reports_row_and_column(self, tmp_path, cell):
+        p = tmp_path / "d.csv"
+        p.write_text(f"x,x2,y\n0.1,0.2,0\n0.5,{cell},1\n")
+        with pytest.raises(DataFormatError, match="non-finite.*row 3.*'x2'"):
+            ingest_individual_csv(p)
+
     def test_nonbinary_response_rejected(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("x,y\n0.1,2\n")
@@ -100,6 +108,13 @@ class TestPooledCsv:
         p = tmp_path / "g.csv"
         p.write_text("group_id,x1,group_result\nlab7,0.1,0\nlab7,0.2,1\n")
         with pytest.raises(DataFormatError, match="lab7"):
+            ingest_pooled_csv(p)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_covariate_reports_row_and_column(self, tmp_path, cell):
+        p = tmp_path / "g.csv"
+        p.write_text(f"group_id,x1,group_result\na,0.1,0\na,0.2,0\nb,{cell},1\n")
+        with pytest.raises(DataFormatError, match="non-finite.*row 4.*'x1'"):
             ingest_pooled_csv(p)
 
     def test_overlapping_ranges_lose_homogeneity_flag(self, tmp_path):
@@ -167,6 +182,16 @@ class TestEstimateCodecs:
         path = write_estimate_csv(empty, tmp_path / "e.csv")
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("x,p_hat")
+
+    def test_csv_round_trip_keeps_failed_points(self, tmp_path):
+        # failed grid points carry NaN estimates, which the reader accepts
+        est = EstimateResult(
+            np.array([0.1, 0.5]), np.array([np.nan, 0.25]), np.array([np.nan, 0.5]),
+            np.zeros(2, dtype=np.int8), np.array([1, 0], dtype=np.int8),
+            0.1, "DH", 2,
+        )
+        path = write_estimate_csv(est, tmp_path / "e.csv")
+        assert read_estimate_csv(path) == est
 
     def test_seventeen_digit_fidelity(self, tmp_path):
         est = self.make_estimate()
@@ -248,6 +273,22 @@ class TestCli:
         ]) == 0
         assert (out / "estimate_ll.csv").exists()
         assert (out / "estimate_dm.csv").exists()
+
+    def test_all_positive_pools_warn(self, tmp_path, caplog):
+        p = tmp_path / "pos.csv"
+        p.write_text("x,y\n" + "".join(f"{i / 100},1\n" for i in range(100)))
+        argv = ["estimate", "--input", str(p), "--estimator", "dh", "--nu", "5",
+                "--bandwidth", "fixed:0.2", "--out", str(tmp_path / "out")]
+        with caplog.at_level(logging.WARNING, logger="poolreg"):
+            assert main(argv) == 0
+        assert "every pool tested positive (20 pools)" in caplog.text
+
+    def test_mixed_pools_do_not_warn(self, data_csv, tmp_path, caplog):
+        argv = ["estimate", "--input", str(data_csv), "--estimator", "dh", "--nu", "5",
+                "--bandwidth", "fixed:0.2", "--out", str(tmp_path / "out")]
+        with caplog.at_level(logging.WARNING, logger="poolreg"):
+            assert main(argv) == 0
+        assert "tested positive" not in caplog.text
 
     def test_estimate_dh_binned(self, data_csv, tmp_path):
         out = tmp_path / "out"

@@ -27,7 +27,7 @@ print(f"simulated {raw.n} individuals, {int(raw.responses.sum())} true positives
 # Homogeneous pooling: sort by the covariate, group consecutive blocks of 5.
 # Only the 1000 pooled outcomes would be observed in the field.
 pooled = pool_homogeneous(raw, nu=5)
-n_positive_pools = sum(g.y_star for g in pooled.groups)
+n_positive_pools = int(pooled.y_star.sum())
 print(f"pooled into {pooled.n_groups} groups of 5; {n_positive_pools} pools positive")
 
 # Pooled-data estimator: smooth the pooled negatives against the group means,

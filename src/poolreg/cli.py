@@ -176,7 +176,7 @@ def _cmd_estimate(opt) -> int:
             if opt.get("nu") is None:
                 raise CliError("--nu is required to pool individual data")
             pooled = pool_homogeneous(raw, int(opt["nu"]))
-        lo, hi = _pooled_range(pooled)
+        lo, hi = pooled.covariate_range()
         result = estimate_dh(pooled, spec, _grid_array(gridspec, lo, hi), widen)
     elif name == "ll":
         if raw is None:
@@ -194,7 +194,7 @@ def _cmd_estimate(opt) -> int:
                 raise CliError("--nu is required to pool individual data")
             seed = _require_seed(opt, "random pooling")
             pooled = pool_random(raw, int(opt["nu"]), seed)
-        lo, hi = _pooled_range(pooled)
+        lo, hi = pooled.covariate_range()
         result = estimate_dm(pooled, spec, _grid_array(gridspec, lo, hi), widen)
     elif name == "dh_binned":
         if raw is None:
@@ -242,12 +242,6 @@ def _cmd_estimate(opt) -> int:
     for f in files:
         log.info("wrote %s", f)
     return 0
-
-
-def _pooled_range(pooled):
-    lo = min(float(g.member_covariates.min()) for g in pooled.groups)
-    hi = max(float(g.member_covariates.max()) for g in pooled.groups)
-    return lo, hi
 
 
 def _grid_array(gridspec, lo, hi) -> np.ndarray:

@@ -30,6 +30,8 @@ from .pooling import PooledDataset, RawDataset
 from .smoothing import (  # noqa: F401
     SmootherSpec,
     _grid_fit_1d,
+    _normal_reference_density,
+    _pilot_prevalence,
     grid_fit_local_linear_multi,
     grid_fit_with_widening,
     local_poly_derivatives,
@@ -106,12 +108,6 @@ def _check_grid_range(grid: np.ndarray, lo: float, hi: float) -> None:
         )
 
 
-def _covariate_range(pooled: PooledDataset) -> tuple[float, float]:
-    lo = min(float(g.member_covariates.min()) for g in pooled.groups)
-    hi = max(float(g.member_covariates.max()) for g in pooled.groups)
-    return lo, hi
-
-
 def estimate_dh(
     pooled: PooledDataset, spec: SmootherSpec, grid, widen_on_failure: bool = False
 ) -> EstimateResult:
@@ -133,7 +129,7 @@ def estimate_dh(
         )
     nu = int(sizes[0])
     grid = np.asarray(grid, dtype=float)
-    _check_grid_range(grid, *_covariate_range(pooled))
+    _check_grid_range(grid, *pooled.covariate_range())
 
     u = pooled.centers()
     z = pooled.z_star()
@@ -195,11 +191,9 @@ def estimate_dm(
         raise EstimationError("estimate_dm needs a constant group size")
     nu = int(sizes[0])
 
-    x_all = np.concatenate([g.member_covariates for g in pooled.groups])
-    y_star = np.repeat([g.y_star for g in pooled.groups], sizes).astype(float)
     z_star = pooled.z_star()
     grid = np.asarray(grid, dtype=float)
-    _check_grid_range(grid, float(x_all.min()), float(x_all.max()))
+    _check_grid_range(grid, *pooled.covariate_range())
 
     q_hat = float(np.mean(z_star)) ** (1.0 / nu)
     if q_hat == 0.0:
@@ -208,9 +202,9 @@ def estimate_dm(
             "is undefined; use a smaller group size nu"
         )
 
-    order = np.argsort(x_all, kind="stable")
-    u = x_all[order]
-    ys = y_star[order]
+    order = np.argsort(pooled.member_covariates, kind="stable")
+    u = pooled.member_covariates[order]
+    ys = np.repeat(pooled.y_star, sizes)[order].astype(float)
     design = np.column_stack([u, 1.0 - ys])
     h = resolve_bandwidth(design, spec, nu=1, n_raw=u.shape[0])
 
@@ -236,7 +230,7 @@ def estimate_dh_binned(
         raise EstimationError("estimate_dh_binned needs binned pooling")
     geom = pooled.bin_geometry
     d = pooled.dimension
-    n_bins = len(pooled.groups)
+    n_bins = pooled.n_groups
     if n_bins < 2 * (d + 1):
         raise EstimationError(
             f"need at least {2 * (d + 1)} nonempty bins, got {n_bins}"
@@ -359,33 +353,25 @@ def data_mode_diagnostics(
     """
     if pooled.strategy != "homogeneous_sorted":
         raise EstimationError("data-mode diagnostics need homogeneous pools")
-    sizes = pooled.sizes()
-    nu = int(sizes[0])
-    n = int(sizes.sum())
+    nu = int(pooled.sizes()[0])
+    n = pooled.member_covariates.shape[0]
     x = np.atleast_1d(np.asarray(x, dtype=float))
 
     u = pooled.centers()
     z = pooled.z_star()
     res = _grid_fit_1d(u, z, 1, spec.kernel, 1.5 * h, x)
-    mu = np.clip(np.nan_to_num(res["value"], nan=1.0), 0.0, 1.0)
-    p_pilot = np.clip(1.0 - mu ** (1.0 / nu), 0.0, 1.0 - 1e-6)
+    p_pilot = _pilot_prevalence(res["value"], nu)
 
     lo, hi = float(u.min()), float(u.max())
     xg = np.linspace(lo, hi, 128)
     res_g = _grid_fit_1d(u, z, 1, spec.kernel, 1.5 * h, xg)
-    mu_g = np.clip(np.nan_to_num(res_g["value"], nan=1.0), 0.0, 1.0)
-    pg = np.clip(1.0 - mu_g ** (1.0 / nu), 0.0, 1.0 - 1e-6)
+    pg = _pilot_prevalence(res_g["value"], nu)
     h_der = max(1.5 * h, 4.0 * (hi - lo) / (xg.size - 1))
     der = local_poly_derivatives(xg, pg, 2, spec.kernel, h_der, x)
     p1 = np.nan_to_num(der[:, 1])
     p2 = np.nan_to_num(der[:, 2])
 
-    x_all = np.concatenate([g.member_covariates for g in pooled.groups])
-    sd = float(np.std(x_all))
-    iqr = float(np.quantile(x_all, 0.75) - np.quantile(x_all, 0.25))
-    width = min(sd, iqr / 1.34) if iqr > 0 else sd
-    bw = max(0.9 * width * x_all.shape[0] ** (-0.2), 1e-12)
-    f_hat = spec.kernel.pdf((x[:, None] - x_all[None, :]) / bw).mean(axis=1) / bw
+    f_hat = _normal_reference_density(pooled.member_covariates, x, spec.kernel)
     f_hat = np.maximum(f_hat, 1e-300)
 
     q_hat = float(np.mean(z)) ** (1.0 / nu)

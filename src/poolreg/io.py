@@ -20,7 +20,7 @@ from .estimators import (
     EstimateResult,
     FAIL_NAMES,
 )
-from .pooling import Group, PooledDataset, RawDataset
+from .pooling import PooledDataset, RawDataset, _pool_means
 from .simulation import OverpoolRow, RateResult, SummaryCell, TableRow, TraceRow
 
 ESTIMATE_SCHEMA = "poolreg.estimate.v1"
@@ -129,9 +129,10 @@ def write_individual_csv(raw: RawDataset, path) -> Path:
 def ingest_pooled_csv(path) -> PooledDataset:
     """Read pooled rows ``group_id,x1[,...,xd],group_result``.
 
-    Groups are assembled by group_id; the strategy is homogeneous_sorted only
-    when the groups' covariate ranges are contiguous (univariate), otherwise
-    a generic tag is used.  Group sizes may vary.
+    Groups are assembled by group_id in order of first appearance; the
+    strategy is homogeneous_sorted, with groups ordered by center, only when
+    their covariate ranges are contiguous (univariate), otherwise a generic
+    tag is used.  Group sizes may vary.
     """
     path = Path(path)
     with path.open(newline="") as fh:
@@ -150,8 +151,10 @@ def ingest_pooled_csv(path) -> PooledDataset:
             raise DataFormatError(
                 f"{path}: covariate columns must be {expected}, got {x_cols}"
             )
-        members: dict[str, list[list[float]]] = {}
         results: dict[str, int] = {}
+        group_of: dict[str, int] = {}  # group number, by first appearance
+        xs: list[list[float]] = []
+        row_group: list[int] = []
         for i, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -169,56 +172,55 @@ def ingest_pooled_csv(path) -> PooledDataset:
                 raise DataFormatError(
                     f"{path}: group_result at row {i} must be 0 or 1, got {res!r}"
                 )
-            members.setdefault(gid, []).append(vec)
             prev = results.setdefault(gid, int(res))
             if prev != int(res):
                 raise DataFormatError(
                     f"{path}: inconsistent group_result within group {gid!r}"
                 )
-    if not members:
+            xs.append(vec)
+            row_group.append(group_of.setdefault(gid, len(group_of)))
+    if not xs:
         raise DataFormatError(f"{path}: no data rows")
 
     d = len(x_cols)
-    groups = []
-    for gid, rows in members.items():
-        arr = np.asarray(rows, dtype=float)
-        xb = arr[:, 0] if d == 1 else arr
-        center = float(arr[:, 0].mean()) if d == 1 else tuple(arr.mean(axis=0))
-        y_star = results[gid]
-        groups.append(Group(xb, arr.shape[0], center, y_star, 1 - y_star))
+    x = np.asarray(xs, dtype=float)
+    x = x[:, 0] if d == 1 else x
+    row_group = np.asarray(row_group)
+    sizes = np.bincount(row_group)
+    y_star = np.fromiter(results.values(), dtype=np.int8)
+    members = x[np.argsort(row_group, kind="stable")]
+    centers = _pool_means(members, sizes)
 
     strategy = "generic"
     if d == 1:
-        by_center = sorted(groups, key=lambda g: g.center)
-        contiguous = all(
-            a.member_covariates.max() <= b.member_covariates.min()
-            for a, b in zip(by_center[:-1], by_center[1:])
-        )
-        if contiguous:
+        order = np.argsort(centers, kind="stable")  # groups by center
+        starts = np.cumsum(sizes) - sizes
+        lo = np.minimum.reduceat(members, starts)[order]
+        hi = np.maximum.reduceat(members, starts)[order]
+        if (hi[:-1] <= lo[1:]).all():
             strategy = "homogeneous_sorted"
-            groups = by_center
-    sizes = np.array([g.size for g in groups])
+            rank = np.argsort(order)
+            members = x[np.argsort(rank[row_group], kind="stable")]
+            sizes, centers, y_star = sizes[order], centers[order], y_star[order]
     nu = float(sizes[0]) if (sizes == sizes[0]).all() else float(sizes.mean())
-    return PooledDataset(tuple(groups), strategy, nu, d)
+    return PooledDataset(members, sizes, centers, y_star, strategy, nu, d)
 
 
 def write_pooled_csv(pooled: PooledDataset, path) -> Path:
+    if pooled.y_star is None:
+        raise DataFormatError("cannot serialize pools with unknown outcomes")
     path = Path(path)
     d = pooled.dimension
     header = ["group_id"] + [f"x{i}" for i in range(1, d + 1)] + ["group_result"]
-    width = max(4, len(str(len(pooled.groups))))
+    width = max(4, len(str(pooled.n_groups)))
+    m = pooled.member_covariates.reshape(-1, d)
+    row_group = np.repeat(np.arange(pooled.n_groups), pooled.group_sizes)
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for j, g in enumerate(pooled.groups):
-            if g.y_star is None:
-                raise DataFormatError("cannot serialize pools with unknown outcomes")
-            gid = f"g{j:0{width}d}"
-            m = np.atleast_2d(g.member_covariates) if d > 1 else (
-                g.member_covariates[:, None]
-            )
-            for i in range(g.size):
-                writer.writerow([gid, *(_fmt(v) for v in m[i]), str(int(g.y_star))])
+        for i, j in enumerate(row_group):
+            writer.writerow([f"g{j:0{width}d}", *(_fmt(v) for v in m[i]),
+                             str(int(pooled.y_star[j]))])
     return path
 
 

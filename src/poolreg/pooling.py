@@ -5,12 +5,16 @@ pooling), seeded random partition (the baseline method's setting), and
 equal-width multivariate bins.  A group's test outcome is positive exactly
 when some member is positive; the pooled negative indicator Z* = 1 - Y* is
 what the downstream smoothers consume.
+
+Pools are stored as columns, not one object per pool.  Each strategy orders
+the sample (a stable sort, a permutation, a stable sort by bin) and cuts it
+into runs of consecutive members.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,22 +60,6 @@ class RawDataset:
     @property
     def dimension(self) -> int:
         return 1 if self.covariates.ndim == 1 else self.covariates.shape[1]
-
-
-@dataclass(frozen=True)
-class Group:
-    """One tested pool: members, size, center and the pooled outcome."""
-
-    member_covariates: np.ndarray
-    size: int
-    center: float | tuple[float, ...]
-    y_star: int | None
-    z_star: int | None
-
-    def __post_init__(self):
-        m = np.asarray(self.member_covariates, dtype=float)
-        m.flags.writeable = False
-        object.__setattr__(self, "member_covariates", m)
 
 
 @dataclass(frozen=True)
@@ -125,41 +113,86 @@ class BinGeometry:
 
 @dataclass(frozen=True)
 class PooledDataset:
-    """Groups plus the strategy and nominal group size that produced them."""
+    """Tested pools as read-only columns, plus the strategy that formed them.
 
-    groups: tuple[Group, ...]
+    Pool j is the next ``group_sizes[j]`` rows of ``member_covariates``, (n,)
+    or (n, d), centered at ``group_centers[j]``, with outcome ``y_star[j]``.
+    """
+
+    member_covariates: np.ndarray
+    group_sizes: np.ndarray
+    group_centers: np.ndarray
+    y_star: np.ndarray | None
     strategy: str  # homogeneous_sorted | random | binned | generic
     nu: float
     dimension: int
     bin_geometry: BinGeometry | None = None
     n_outside: int = 0
 
+    def __post_init__(self):
+        tail = () if self.dimension == 1 else (self.dimension,)
+        m = np.asarray(self.member_covariates, dtype=float)
+        sizes = np.asarray(self.group_sizes, dtype=np.int64)
+        centers = np.asarray(self.group_centers, dtype=float)
+        if m.shape[1:] != tail or m.ndim == 0 or centers.shape != sizes.shape + tail:
+            raise PoolingError(
+                f"pool columns have shapes {m.shape} and {centers.shape}, "
+                f"need (n,) + {tail} and (n_groups,) + {tail}"
+            )
+        if (sizes < 1).any() or sizes.sum() != m.shape[0]:
+            raise PoolingError(f"group sizes must be >= 1 and sum to n = {m.shape[0]}")
+        arrays = {"member_covariates": m, "group_sizes": sizes, "group_centers": centers}
+        if self.y_star is not None:
+            y = np.asarray(self.y_star)
+            if y.shape != sizes.shape or not np.isin(y, (0, 1)).all():
+                raise PoolingError("need one pooled outcome Y* per group, each 0 or 1")
+            arrays["y_star"] = y.astype(np.int8)
+        for name, arr in arrays.items():
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
     @property
     def n_groups(self) -> int:
-        return len(self.groups)
+        return self.group_sizes.shape[0]
 
     def centers(self) -> np.ndarray:
-        if self.dimension == 1:
-            return np.array([g.center for g in self.groups], dtype=float)
-        return np.array([g.center for g in self.groups], dtype=float).reshape(
-            len(self.groups), self.dimension
-        )
+        return self.group_centers
 
     def z_star(self) -> np.ndarray:
-        vals = [g.z_star for g in self.groups]
-        if any(v is None for v in vals):
+        if self.y_star is None:
             raise PoolingError("pooled outcomes unknown: responses were absent")
-        return np.array(vals, dtype=float)
+        return 1.0 - self.y_star
 
     def sizes(self) -> np.ndarray:
-        return np.array([g.size for g in self.groups], dtype=np.int64)
+        return self.group_sizes
+
+    def covariate_range(self) -> tuple[float, float]:
+        """Smallest and largest member covariate over all pools."""
+        return float(self.member_covariates.min()), float(self.member_covariates.max())
 
 
-def _aggregate(y_block: np.ndarray | None) -> tuple[int | None, int | None]:
-    if y_block is None:
-        return None, None
-    y_star = int(y_block.max())
-    return y_star, 1 - y_star
+def _pool_means(members: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Mean of each pool's consecutive members.
+
+    Averaging the pools of each size s as one (k, s[, d]) block gives each
+    pool's own ``.mean()`` bit for bit; ``np.add.reduceat`` does not (s >= 3).
+    """
+    starts = np.cumsum(sizes) - sizes
+    means = np.empty(sizes.shape + members.shape[1:])
+    for s in np.unique(sizes):
+        which = np.flatnonzero(sizes == s)
+        means[which] = members[starts[which, None] + np.arange(s)].mean(axis=1)
+    return means
+
+
+def _equal_pools(raw: RawDataset, order: np.ndarray, nu: int, strategy: str):
+    """Pools of nu consecutive members of the sample taken in ``order``."""
+    x = raw.covariates[order]
+    sizes = np.full(raw.n // nu, nu, dtype=np.int64)
+    y_star = None
+    if raw.responses is not None:
+        y_star = raw.responses[order].reshape(-1, nu).max(axis=1)
+    return PooledDataset(x, sizes, _pool_means(x, sizes), y_star, strategy, nu, 1)
 
 
 def pool_homogeneous(raw: RawDataset, nu: int) -> PooledDataset:
@@ -181,16 +214,7 @@ def pool_homogeneous(raw: RawDataset, nu: int) -> PooledDataset:
             "handles unequal group counts"
         )
     order = np.argsort(raw.covariates, kind="stable")
-    x = raw.covariates[order]
-    y = raw.responses[order] if raw.responses is not None else None
-
-    groups = []
-    for j in range(raw.n // nu):
-        sl = slice(j * nu, (j + 1) * nu)
-        xb = x[sl]
-        y_star, z_star = _aggregate(y[sl] if y is not None else None)
-        groups.append(Group(xb, nu, float(xb.mean()), y_star, z_star))
-    return PooledDataset(tuple(groups), "homogeneous_sorted", nu, 1)
+    return _equal_pools(raw, order, nu, "homogeneous_sorted")
 
 
 def pool_random(
@@ -205,17 +229,7 @@ def pool_random(
     if raw.n % nu != 0:
         raise PoolingError(f"nu={nu} does not divide N={raw.n}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    perm = rng.permutation(raw.n)
-
-    groups = []
-    for j in range(raw.n // nu):
-        idx = perm[j * nu : (j + 1) * nu]
-        xb = raw.covariates[idx]
-        y_star, z_star = _aggregate(
-            raw.responses[idx] if raw.responses is not None else None
-        )
-        groups.append(Group(xb, nu, float(xb.mean()), y_star, z_star))
-    return PooledDataset(tuple(groups), "random", nu, 1)
+    return _equal_pools(raw, rng.permutation(raw.n), nu, "random")
 
 
 def pool_binned(
@@ -228,10 +242,10 @@ def pool_binned(
     The number of bins per axis J = (N/nu)^(1/d) must be an integer; points
     outside the region (the unit cube by default) are excluded from every
     bin but counted.  Each nonempty bin becomes a group centered at the bin
-    midpoint; empty bins stay visible through the geometry's count array.
+    midpoint, in the order of the bins' flat (C-order) index; empty bins
+    stay visible through the geometry's count array.
     """
     d = raw.dimension
-    x = raw.covariates.reshape(raw.n, d) if d > 1 else raw.covariates[:, None]
     if not nu > 0:
         raise PoolingError("nu must be positive")
     if region is None:
@@ -257,42 +271,24 @@ def pool_binned(
     frac = (nu / raw.n) ** (1.0 / d)
     widths = (hi - lo) * frac
 
-    geometry_counts = np.zeros((J,) * d, dtype=np.int64)
-    geom = BinGeometry(tuple(lo), tuple(hi), J, tuple(widths), geometry_counts)
-    idx, inside = geom.locate(x)
-    n_outside = int((~inside).sum())
-
+    # zero counts hold the place of the real ones until the points are located
+    geom = BinGeometry(tuple(lo), tuple(hi), J, tuple(widths), np.zeros((J,) * d))
+    idx, inside = geom.locate(raw.covariates)
     flat = np.ravel_multi_index(tuple(idx[inside].T), (J,) * d)
     counts = np.bincount(flat, minlength=J**d)
-    # rebuild geometry with the real counts (the frozen array was a placeholder)
-    geom = BinGeometry(tuple(lo), tuple(hi), J, tuple(widths), counts.reshape((J,) * d))
+    geom = replace(geom, counts=counts.reshape((J,) * d))
 
-    inside_idx = np.flatnonzero(inside)
-    order = np.argsort(flat, kind="stable")
-    flat_sorted = flat[order]
-    points_sorted = inside_idx[order]
-    boundaries = np.flatnonzero(np.diff(flat_sorted)) + 1
-    blocks = np.split(points_sorted, boundaries)
-    block_bins = flat_sorted[np.concatenate(([0], boundaries))] if flat_sorted.size else []
-
-    groups = []
-    for bin_flat, members in zip(block_bins, blocks):
-        k = np.unravel_index(int(bin_flat), (J,) * d)
-        center = lo + (np.asarray(k) + 0.5) * widths
-        xb = x[members, :] if d > 1 else raw.covariates[members]
-        y_star, z_star = _aggregate(
-            raw.responses[members] if raw.responses is not None else None
-        )
-        groups.append(
-            Group(
-                xb,
-                int(members.size),
-                float(center[0]) if d == 1 else tuple(center),
-                y_star,
-                z_star,
-            )
-        )
-    return PooledDataset(tuple(groups), "binned", float(nu), d, geom, n_outside)
+    members = np.flatnonzero(inside)[np.argsort(flat, kind="stable")]
+    occupied = np.flatnonzero(counts)
+    sizes = counts[occupied]
+    centers = lo + (np.column_stack(np.unravel_index(occupied, (J,) * d)) + 0.5) * widths
+    y_star = None
+    if raw.responses is not None:
+        y_star = np.maximum.reduceat(raw.responses[members], np.cumsum(sizes) - sizes)
+    return PooledDataset(
+        raw.covariates[members], sizes, centers[:, 0] if d == 1 else centers,
+        y_star, "binned", float(nu), d, geom, int((~inside).sum()),
+    )
 
 
 def pooled_negative_probability(p_values) -> float:

@@ -43,6 +43,9 @@ PIVOT_WARN_TOL = 1e-6
 _EVAL_BLOCK = 64
 _DESIGN_SLAB = 2048
 
+# Kernel density estimates hold about this many kernel values (8 MiB) at once.
+_DENSITY_BLOCK = 1 << 20
+
 
 class BandwidthError(ValueError):
     """Bandwidth selection failed or a rule is invalid."""
@@ -168,7 +171,9 @@ def _solve_batched(S: np.ndarray, rhs: np.ndarray):
         acc = B[:, k, :].copy()
         if k + 1 < n:
             acc -= np.einsum("cj,cjm->cm", A[:, k, k + 1 :], X[:, k + 1 :, :])
-        X[:, k, :] = acc / piv_safe[:, None]
+        # a tiny pivot overflows; min_rel_pivot already marks that fit failed
+        with np.errstate(over="ignore"):
+            X[:, k, :] = acc / piv_safe[:, None]
     return X, min_rel_pivot
 
 
@@ -644,9 +649,7 @@ def _plugin_bandwidth(u, z, spec, cands, h_cv, nu, n_raw, interval, collapsed=Fa
 
     h_pilot = 1.5 * h_cv
     pilot = _grid_fit_1d(u, z, spec.degree, kern, h_pilot, xg)
-    mu = np.clip(np.nan_to_num(pilot["value"], nan=1.0), 0.0, 1.0)
-    p_pilot = 1.0 - mu ** (1.0 / nu)
-    p_pilot = np.clip(p_pilot, 0.0, 1.0 - 1e-6)
+    p_pilot = _pilot_prevalence(pilot["value"], nu)
 
     # Derivatives of the pilot curve by a local quadratic on the pilot grid.
     # When the CV pilot collapsed, widen the quadratic's window to a fifth of
@@ -658,13 +661,7 @@ def _plugin_bandwidth(u, z, spec, cands, h_cv, nu, n_raw, interval, collapsed=Fa
     p1 = np.nan_to_num(der[:, 1])
     p2 = np.nan_to_num(der[:, 2])
 
-    # Normal-reference kernel density of the design points.
-    sd = float(np.std(u))
-    iqr = float(np.quantile(u, 0.75) - np.quantile(u, 0.25))
-    width = min(sd, iqr / 1.34) if iqr > 0 else sd
-    bw = max(0.9 * width * u.shape[0] ** (-0.2), 1e-12)
-    f_hat = kern.pdf((xg[:, None] - u[None, :]) / bw).mean(axis=1) / bw
-    f_hat = np.maximum(f_hat, 1e-12)
+    f_hat = np.maximum(_normal_reference_density(u, xg, kern), 1e-12)
 
     one_m_p = 1.0 - p_pilot
     v = kern.l2_norm / f_hat
@@ -677,6 +674,31 @@ def _plugin_bandwidth(u, z, spec, cands, h_cv, nu, n_raw, interval, collapsed=Fa
         b2 = (bias_profile * h * h) ** 2
         risks[i] = np.trapezoid(a2 + b2, xg)
     return float(cands[int(np.argmin(risks))])
+
+
+def _pilot_prevalence(mu_raw: np.ndarray, nu) -> np.ndarray:
+    """Invert a pilot fit of mu = (1-p)^nu; failed points give p = 0, and p < 1."""
+    mu = np.clip(np.nan_to_num(mu_raw, nan=1.0), 0.0, 1.0)
+    return np.clip(1.0 - mu ** (1.0 / nu), 0.0, 1.0 - 1e-6)
+
+
+def _normal_reference_density(sample: np.ndarray, x: np.ndarray, kern: Kernel):
+    """Normal-reference kernel density estimate of a 1-d sample at x.
+
+    The kernel matrix is formed ``_DENSITY_BLOCK`` values (whole rows) at a
+    time; row means are as in the dense matrix.
+    """
+    sd = float(np.std(sample))
+    iqr = float(np.quantile(sample, 0.75) - np.quantile(sample, 0.25))
+    width = min(sd, iqr / 1.34) if iqr > 0 else sd
+    bw = max(0.9 * width * sample.shape[0] ** (-0.2), 1e-12)
+    step = max(1, _DENSITY_BLOCK // sample.shape[0])
+    f = np.empty(x.shape[0])
+    for i in range(0, x.shape[0], step):
+        t = x[i : i + step, None] - sample[None, :]
+        t /= bw
+        f[i : i + step] = kern.pdf(t, out=t).mean(axis=1) / bw
+    return f
 
 
 def resolve_bandwidth(design, spec: SmootherSpec, **ctx) -> float:

@@ -269,16 +269,17 @@ def test_criterion_8_property_suites_under_a_minute(tmp_path):
     x = rng.normal(size=120)
     y = (rng.random(120) < 0.3).astype(int)
     hom = pool_homogeneous(RawDataset(x, y), 6)
-    back = np.sort(np.concatenate([g.member_covariates for g in hom.groups]))
+    back = np.sort(hom.member_covariates)
     np.testing.assert_array_equal(back, np.sort(x))
-    for a, b in zip(hom.groups[:-1], hom.groups[1:]):
-        assert a.member_covariates.max() <= b.member_covariates.min()
+    members = np.split(hom.member_covariates, np.cumsum(hom.sizes())[:-1])
+    for a, b in zip(members[:-1], members[1:]):
+        assert a.max() <= b.min()
     rnd = pool_random(RawDataset(x, y), 6, 3)
-    back = np.sort(np.concatenate([g.member_covariates for g in rnd.groups]))
+    back = np.sort(rnd.member_covariates)
     np.testing.assert_array_equal(back, np.sort(x))
     xb = rng.uniform(0, 1, 200)
     binned = pool_binned(RawDataset(xb, (rng.random(200) < 0.2).astype(int)), 8.0)
-    assert sum(g.size for g in binned.groups) == 200
+    assert sum(binned.sizes()) == 200
 
     # p_hat within [0, 1] for every estimator
     raw = sample_replicate(make_model("iii"), 1000, seed_stream(SEED, 300))

@@ -104,6 +104,20 @@ class TestPooledCsv:
         assert pooled.z_star().tolist() == [1.0, 0.0]
         assert pooled.strategy == "homogeneous_sorted"
 
+    def test_contiguous_groups_are_ordered_by_center(self, tmp_path):
+        # b and d share a center: they keep their order of first appearance
+        p = tmp_path / "g.csv"
+        p.write_text(
+            "group_id,x1,group_result\n"
+            "c,0.9,1\na,0.2,0\nc,0.8,1\nb,0.5,1\na,0.1,0\nd,0.5,0\na,0.3,0\n"
+        )
+        pooled = ingest_pooled_csv(p)
+        assert pooled.strategy == "homogeneous_sorted"
+        assert pooled.member_covariates.tolist() == [0.2, 0.1, 0.3, 0.5, 0.5, 0.9, 0.8]
+        assert pooled.sizes().tolist() == [3, 1, 1, 2]
+        assert pooled.y_star.tolist() == [0, 1, 0, 1]
+        assert pooled.nu == 1.75
+
     def test_inconsistent_group_result_names_group(self, tmp_path):
         p = tmp_path / "g.csv"
         p.write_text("group_id,x1,group_result\nlab7,0.1,0\nlab7,0.2,1\n")
@@ -149,10 +163,11 @@ class TestPooledCsv:
         assert back.n_groups == pooled.n_groups
         np.testing.assert_array_equal(back.centers(), pooled.centers())
         np.testing.assert_array_equal(back.z_star(), pooled.z_star())
-        for ga, gb in zip(pooled.groups, back.groups):
-            np.testing.assert_array_equal(
-                np.sort(ga.member_covariates), np.sort(gb.member_covariates)
-            )
+        cuts = np.cumsum(pooled.sizes())[:-1]
+        np.testing.assert_array_equal(back.sizes(), pooled.sizes())
+        for ga, gb in zip(np.split(pooled.member_covariates, cuts),
+                          np.split(back.member_covariates, cuts)):
+            np.testing.assert_array_equal(np.sort(ga), np.sort(gb))
 
 
 class TestEstimateCodecs:

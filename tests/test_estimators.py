@@ -1,5 +1,7 @@
 """Estimator identities, clamping, diagnostics and cross-estimator checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from poolreg import (
     EPANECHNIKOV,
     GAUSSIAN,
     EstimationError,
-    Group,
     PooledDataset,
     RawDataset,
     SmootherSpec,
@@ -167,11 +168,15 @@ class TestEstimateDH:
             estimate_dh(pooled, SPECS[0], np.array([0.5]))
 
     def test_inconsistent_group_sizes_rejected(self):
-        groups = (
-            Group(np.array([0.1, 0.2]), 2, 0.15, 0, 1),
-            Group(np.array([0.5, 0.6, 0.7]), 3, 0.6, 0, 1),
+        pooled = PooledDataset(
+            member_covariates=np.array([0.1, 0.2, 0.5, 0.6, 0.7]),
+            group_sizes=np.array([2, 3]),
+            group_centers=np.array([0.15, 0.6]),
+            y_star=np.array([0, 0]),
+            strategy="homogeneous_sorted",
+            nu=2,
+            dimension=1,
         )
-        pooled = PooledDataset(groups, "homogeneous_sorted", 2, 1)
         with pytest.raises(EstimationError, match="binned"):
             estimate_dh(pooled, SPECS[0], np.array([0.4]))
 
@@ -430,3 +435,17 @@ class TestAsymptoticDiagnostics:
         assert 0.0 < diag.q <= 1.0
         # pilot-based A should land within a factor 2 of the analytic value
         np.testing.assert_allclose(diag.A, truth.A, rtol=1.0)
+
+    def test_data_mode_memory_stays_bounded(self):
+        # the density once built one dense (grid x N) kernel matrix: 123 MB
+        # at N = 4e4 and a 201-point grid, growing linearly in N
+        raw = sample_replicate(make_model("iii"), 40_000, seed_stream(405))
+        pooled = pool_homogeneous(raw, 5)
+        x = np.linspace(0.05, 0.95, 201)
+        tracemalloc.start()
+        try:
+            data_mode_diagnostics(pooled, SmootherSpec(), 0.1, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6

@@ -15,6 +15,11 @@ from poolreg import (
 )
 
 
+def pools(pooled):
+    """Each pool's member covariates, in pool order."""
+    return np.split(pooled.member_covariates, np.cumsum(pooled.sizes())[:-1])
+
+
 class TestRawDataset:
     def test_basic_construction(self):
         raw = RawDataset([1.0, 2.0, 3.0], [0, 1, 0])
@@ -47,7 +52,7 @@ class TestPoolHomogeneous:
     def test_sorted_contiguous_groups(self):
         raw = RawDataset([3.0, 1.0, 2.0, 6.0, 5.0, 4.0])
         pooled = pool_homogeneous(raw, 3)
-        members = [sorted(g.member_covariates.tolist()) for g in pooled.groups]
+        members = [sorted(m.tolist()) for m in pools(pooled)]
         assert members == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
         assert pooled.centers().tolist() == [2.0, 5.0]
         assert pooled.strategy == "homogeneous_sorted"
@@ -57,13 +62,13 @@ class TestPoolHomogeneous:
         pooled = pool_homogeneous(RawDataset(x), 1)
         assert pooled.n_groups == 3
         assert pooled.centers().tolist() == sorted(x)
-        assert all(g.size == 1 for g in pooled.groups)
+        assert all(s == 1 for s in pooled.sizes())
 
     def test_max_aggregation(self):
         raw = RawDataset([1.0, 2.0, 3.0], [0, 1, 0])
         pooled = pool_homogeneous(raw, 3)
-        assert pooled.groups[0].y_star == 1
-        assert pooled.groups[0].z_star == 0
+        assert pooled.y_star[0] == 1
+        assert pooled.z_star()[0] == 0
 
     def test_aggregation_exhaustive_nu_up_to_ten(self):
         # Y* = 1 iff some member is positive, for every response vector
@@ -71,9 +76,8 @@ class TestPoolHomogeneous:
             x = np.arange(float(nu))
             for bits in itertools.product((0, 1), repeat=nu):
                 pooled = pool_homogeneous(RawDataset(x, list(bits)), nu)
-                g = pooled.groups[0]
-                assert g.y_star == max(bits)
-                assert g.z_star == 1 - max(bits)
+                assert pooled.y_star[0] == max(bits)
+                assert pooled.z_star()[0] == 1 - max(bits)
 
     def test_divisibility_error_mentions_binned(self):
         with pytest.raises(PoolingError, match="pool_binned"):
@@ -87,14 +91,15 @@ class TestPoolHomogeneous:
         rng = np.random.default_rng(5)
         x = rng.normal(size=60)
         pooled = pool_homogeneous(RawDataset(x), 5)
-        for a, b in zip(pooled.groups[:-1], pooled.groups[1:]):
-            assert a.member_covariates.max() <= b.member_covariates.min()
+        members = pools(pooled)
+        for a, b in zip(members[:-1], members[1:]):
+            assert a.max() <= b.min()
 
     def test_partition_invariant(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=40)
         pooled = pool_homogeneous(RawDataset(x), 4)
-        recovered = np.sort(np.concatenate([g.member_covariates for g in pooled.groups]))
+        recovered = np.sort(np.concatenate(pools(pooled)))
         np.testing.assert_array_equal(recovered, np.sort(x))
 
     def test_permutation_invariance_on_distinct_covariates(self):
@@ -105,13 +110,13 @@ class TestPoolHomogeneous:
         perm = rng.permutation(30)
         other = pool_homogeneous(RawDataset(x[perm], y[perm]), 5)
         assert base.centers().tolist() == other.centers().tolist()
-        assert [g.z_star for g in base.groups] == [g.z_star for g in other.groups]
+        assert base.z_star().tolist() == other.z_star().tolist()
 
     def test_stable_tie_break_by_original_index(self):
         x = [1.0, 1.0, 1.0, 1.0]
         y = [0, 1, 0, 1]
         pooled = pool_homogeneous(RawDataset(x, y), 2)
-        assert [g.y_star for g in pooled.groups] == [1, 1]
+        assert pooled.y_star.tolist() == [1, 1]
 
 
 class TestPoolRandom:
@@ -119,7 +124,7 @@ class TestPoolRandom:
         raw = RawDataset([5.0, 1.0, 3.0])
         pooled = pool_random(raw, 3, 0)
         assert pooled.n_groups == 1
-        assert pooled.groups[0].size == 3
+        assert pooled.sizes()[0] == 3
         assert pooled.strategy == "random"
 
     def test_same_seed_same_partition(self):
@@ -127,22 +132,22 @@ class TestPoolRandom:
         raw = RawDataset(rng_x.normal(size=20), (rng_x.random(20) < 0.5).astype(int))
         a = pool_random(raw, 4, 123)
         b = pool_random(raw, 4, 123)
-        for ga, gb in zip(a.groups, b.groups):
-            np.testing.assert_array_equal(ga.member_covariates, gb.member_covariates)
-            assert ga.z_star == gb.z_star
+        for ga, gb in zip(pools(a), pools(b)):
+            np.testing.assert_array_equal(ga, gb)
+        assert a.z_star().tolist() == b.z_star().tolist()
 
     def test_partition_pin_seed_42(self):
         # reproducibility fixture frozen after the first run
         pooled = pool_random(RawDataset(np.arange(10.0)), 5, 42)
-        members = [sorted(g.member_covariates.tolist()) for g in pooled.groups]
+        members = [sorted(m.tolist()) for m in pools(pooled)]
         assert members == [[0.0, 3.0, 5.0, 6.0, 7.0], [1.0, 2.0, 4.0, 8.0, 9.0]]
-        assert [g.center for g in pooled.groups] == [4.2, 4.8]
+        assert pooled.centers().tolist() == [4.2, 4.8]
 
     def test_partition_invariant(self):
         rng = np.random.default_rng(9)
         x = rng.normal(size=24)
         pooled = pool_random(RawDataset(x), 6, 11)
-        recovered = np.sort(np.concatenate([g.member_covariates for g in pooled.groups]))
+        recovered = np.sort(np.concatenate(pools(pooled)))
         np.testing.assert_array_equal(recovered, np.sort(x))
 
     def test_divisibility_required(self):
@@ -158,7 +163,7 @@ class TestPoolBinned:
         geom = pooled.bin_geometry
         assert geom.bins_per_axis == 10
         np.testing.assert_allclose(geom.widths, [0.1])
-        centers = sorted(g.center for g in pooled.groups)
+        centers = sorted(pooled.centers().tolist())
         expected = [0.05 + 0.1 * k for k in range(10)]
         present = [c for c in expected if any(abs(c - g) < 1e-12 for g in centers)]
         assert present == centers or len(centers) <= 10
@@ -200,13 +205,13 @@ class TestPoolBinned:
         assert geom.bins_per_axis == 4
         assert geom.counts.tolist() == [2, 0, 0, 2]
         assert pooled.n_groups == 2  # the two empty middle bins carry no Z*
-        assert [g.z_star for g in pooled.groups] == [1, 0]
+        assert pooled.z_star().tolist() == [1, 0]
 
     def test_partition_of_in_region_points(self):
         rng = np.random.default_rng(12)
         x = rng.uniform(0, 1, 400)
         pooled = pool_binned(RawDataset(x), 4)
-        total = sum(g.size for g in pooled.groups)
+        total = sum(pooled.sizes())
         assert total == 400
         m = pooled.bin_geometry.count_at(x)
         assert (m >= 1).all()
@@ -216,9 +221,9 @@ class TestPoolBinned:
         x = rng.uniform(0, 1, 100)
         pooled = pool_binned(RawDataset(x), 10)
         geom = pooled.bin_geometry
-        for g in pooled.groups:
-            m = geom.count_at(np.atleast_1d(g.center))
-            assert int(m[0]) == g.size
+        for center, size in zip(pooled.centers(), pooled.sizes()):
+            m = geom.count_at(np.atleast_1d(center))
+            assert int(m[0]) == size
 
     def test_custom_region(self):
         rng = np.random.default_rng(14)

@@ -1,5 +1,7 @@
 """Kernel and local-polynomial engine tests, oracle values first."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -20,6 +22,7 @@ from poolreg import (
     seed_stream,
     select_bandwidth,
 )
+from poolreg import smoothing
 from poolreg.smoothing import _grid_fit_1d, loo_cv_score
 
 ALL_KERNELS = [GAUSSIAN, EPANECHNIKOV, UNIFORM]
@@ -228,6 +231,35 @@ class TestGridFitConsistency:
         for i, x in enumerate(xs):
             fit = local_poly_fit(design_of(u, z), spec, float(x))
             assert abs(res["value"][i] - fit.value) < 1e-13
+
+
+    def test_tiny_bandwidth_fails_without_overflow_warning(self):
+        # near-singular local quadratics overflow in back-substitution; the
+        # points are already flagged failed, so no RuntimeWarning may escape
+        rng = np.random.default_rng(0)
+        u = np.sort(rng.uniform(0, 1, 200))
+        z = (rng.random(200) < 0.5).astype(float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = _grid_fit_1d(u, z, 2, GAUSSIAN, 3e-5, np.linspace(0, 1, 101))
+        assert (res["flag"] == 2).all()
+
+
+class TestNormalReferenceDensity:
+    @pytest.mark.parametrize("kern", ALL_KERNELS)
+    def test_row_blocks_match_dense_formula_exactly(self, kern, monkeypatch):
+        rng = np.random.default_rng(23)
+        sample = rng.normal(size=300)
+        x = np.linspace(-3.0, 3.0, 41)
+        sd = float(np.std(sample))
+        iqr = float(np.quantile(sample, 0.75) - np.quantile(sample, 0.25))
+        bw = max(0.9 * min(sd, iqr / 1.34) * sample.shape[0] ** (-0.2), 1e-12)
+        dense = kern.pdf((x[:, None] - sample[None, :]) / bw).mean(axis=1) / bw
+        # one row per block, 7 rows per block (41 = 5 * 7 + 6), one block
+        for block in (1, 7 * 300, smoothing._DENSITY_BLOCK):
+            monkeypatch.setattr(smoothing, "_DENSITY_BLOCK", block)
+            got = smoothing._normal_reference_density(sample, x, kern)
+            np.testing.assert_array_equal(got, dense)
 
 
 class TestSelectBandwidth:

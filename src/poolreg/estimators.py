@@ -88,10 +88,6 @@ class EstimateResult:
         )
 
 
-def default_grid(lo: float, hi: float, n: int = 201) -> np.ndarray:
-    return np.linspace(lo, hi, n)
-
-
 def _clamp_unit(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Clamp into [0, 1]; returns (clamped, flags).  NaN passes through."""
     flags = np.zeros(raw.shape, dtype=np.int8)
@@ -181,6 +177,8 @@ def estimate_dm(
     g(x) = E(Y* | X=x) satisfies 1 - g = (1 - p) q^{nu-1} with
     q = E{1 - p(X)}, estimated by (mean Z*)^{1/nu}.
     """
+    if pooled.dimension != 1:
+        raise EstimationError("estimate_dm is univariate")
     if pooled.strategy not in ("random", "generic"):
         raise EstimationError(
             "estimate_dm needs randomly formed pools "

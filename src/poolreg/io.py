@@ -1,8 +1,21 @@
-"""CSV/JSON codecs for datasets, estimates, tables and diagnostics.
+"""CSV/JSON codecs for datasets and result files.
 
 All numbers are serialized with 17 significant digits so that every emitted
-file re-ingests to the exact in-memory values.  CSV column orders are fixed;
-JSON payloads carry a schema tag.
+file re-ingests to the exact in-memory values.  Individual and pooled data
+have their own row-by-row codecs.  Result files go through one codec,
+``write_result`` / ``read_result``, driven by a per-type spec (``_SPECS``):
+the file suffix picks CSV or JSON, CSV column orders are fixed and JSON
+payloads carry a schema tag.
+
+What reads back from which format:
+
+* ``EstimateResult``, ``TableRow`` lists and ``OverpoolRow`` lists: CSV and
+  JSON;
+* ``TraceRow`` lists: CSV, their only format;
+* ``RateResult`` and ``AsymptoticDiagnostics``: JSON only.  Their CSV files
+  are per-point tables without the scalars (``slope``, ``slope_band``;
+  ``q``, ``b_const``), so reading one raises a ``DataFormatError`` that
+  points to the JSON file.
 """
 
 from __future__ import annotations
@@ -10,7 +23,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import typing
+from functools import partial
+from operator import attrgetter
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,13 +38,7 @@ from .estimators import (
     FAIL_NAMES,
 )
 from .pooling import PooledDataset, RawDataset, _pool_means
-from .simulation import OverpoolRow, RateResult, SummaryCell, TableRow, TraceRow
-
-ESTIMATE_SCHEMA = "poolreg.estimate.v1"
-TABLE_SCHEMA = "poolreg.table.v1"
-RATE_SCHEMA = "poolreg.rate.v1"
-OVERPOOL_SCHEMA = "poolreg.overpool.v1"
-DIAGNOSTICS_SCHEMA = "poolreg.diagnostics.v1"
+from .simulation import OverpoolRow, RateResult, TableRow, TraceRow
 
 
 class DataFormatError(ValueError):
@@ -46,14 +57,10 @@ def _parse_float(text: str, row: int, col: str, path, *, finite: bool = True) ->
     """
     try:
         val = float(text)
-    except ValueError:
-        raise DataFormatError(
-            f"{path}: malformed numeric cell at row {row}, column {col!r}: {text!r}"
-        ) from None
+    except (TypeError, ValueError):
+        raise _bad(path, row, col, "malformed numeric cell", text) from None
     if finite and not math.isfinite(val):
-        raise DataFormatError(
-            f"{path}: non-finite value at row {row}, column {col!r}: {text!r}"
-        )
+        raise _bad(path, row, col, "non-finite value", text)
     return val
 
 
@@ -225,365 +232,336 @@ def write_pooled_csv(pooled: PooledDataset, path) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# estimates
+# result files: one codec driven by a per-type spec
+#
+# A spec lists a type's fields in JSON order, each with its JSON key, its
+# attribute path on the record and its cell kind, and its CSV columns in file
+# order, each a header and a JSON key.  Row types are lists of records: one
+# CSV row and one JSON "rows" entry per record.  Array types are one record
+# of parallel arrays: one CSV row per array element, with the record's
+# scalars repeated on every row.  A 2-d array field spreads over the columns
+# <header>1..<header>d, as an estimate's grid does over x1..xd.
 
 
-def write_estimate_csv(result: EstimateResult, path) -> Path:
-    path = Path(path)
-    grid = np.asarray(result.grid)
-    multi = grid.ndim == 2
-    d = grid.shape[1] if multi else 1
-    x_cols = [f"x{i}" for i in range(1, d + 1)] if multi else ["x"]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            x_cols
-            + ["p_hat", "mu_hat", "clamp_flag", "failure",
-               "estimator", "nu", "bandwidth_used"]
-        )
-        for i in range(grid.shape[0]):
-            xs = grid[i] if multi else [grid[i]]
-            writer.writerow(
-                [_fmt(v) for v in xs]
-                + [
-                    _fmt(result.p_hat[i]),
-                    _fmt(result.mu_hat[i]),
-                    CLAMP_NAMES[int(result.clamp_flags[i])],
-                    FAIL_NAMES[int(result.failures[i])],
-                    result.estimator_tag,
-                    _fmt(result.nu),
-                    _fmt(result.bandwidth_used),
-                ]
-            )
-    return path
+class _Kind(NamedTuple):
+    text: Callable  # one value -> CSV cell
+    parse: Callable  # (CSV cell or JSON value, row, column, path) -> one value
+    dtype: type = float  # element type of a numpy array of such values
+    json: Callable | None = None  # one value -> JSON value; None: numbers
 
 
-def read_estimate_csv(path) -> EstimateResult:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        d = sum(1 for h in header if h == "x" or h.startswith("x") and h[1:].isdigit())
-        rows = [row for row in reader if row]
-    if not rows:
-        raise DataFormatError(f"{path}: no data rows")
-    grid, p_hat, mu_hat, clamps, fails = [], [], [], [], []
-    tag, nu, bw = None, None, None
-    for i, row in enumerate(rows, start=2):
-        vals = [_parse_float(c, i, header[j], path) for j, c in enumerate(row[:d])]
-        grid.append(vals if d > 1 else vals[0])
-        p_hat.append(_parse_float(row[d], i, "p_hat", path, finite=False))
-        mu_hat.append(_parse_float(row[d + 1], i, "mu_hat", path, finite=False))
-        clamps.append(CLAMP_NAMES.index(row[d + 2]))
-        fails.append(FAIL_NAMES.index(row[d + 3]))
-        tag = row[d + 4]
-        nu = _parse_float(row[d + 5], i, "nu", path)
-        bw = _parse_float(row[d + 6], i, "bandwidth_used", path)
-    return EstimateResult(
-        np.asarray(grid, dtype=float),
-        np.asarray(p_hat, dtype=float),
-        np.asarray(mu_hat, dtype=float),
-        np.asarray(clamps, dtype=np.int8),
-        np.asarray(fails, dtype=np.int8),
-        bw,
-        tag,
-        nu,
-    )
+class _Field(NamedTuple):
+    key: str  # JSON key
+    kind: str  # a key of _KINDS
+    array: type | None = None  # np.ndarray or tuple: an array per record
+    attr: str | None = None  # attribute path on the record, if not the key
 
 
-def write_estimate_json(result: EstimateResult, path) -> Path:
-    path = Path(path)
-    grid = np.asarray(result.grid)
-    payload = {
-        "schema": ESTIMATE_SCHEMA,
-        "estimator": result.estimator_tag,
-        "nu": float(result.nu),
-        "bandwidth_used": float(result.bandwidth_used),
-        "grid": grid.tolist(),
-        "p_hat": [float(v) for v in result.p_hat],
-        "mu_hat": [float(v) for v in result.mu_hat],
-        "clamp_flags": [CLAMP_NAMES[int(c)] for c in result.clamp_flags],
-        "failures": [FAIL_NAMES[int(c)] for c in result.failures],
-    }
-    path.write_text(json.dumps(payload, indent=1))
-    return path
+class _Spec(NamedTuple):
+    schema: str | None  # JSON schema tag; None: the type has no JSON format
+    rows: bool  # a list of records, or one record of parallel arrays
+    fields: tuple[_Field, ...]  # in JSON order
+    columns: tuple  # in CSV order: a key, or (header, key)
 
 
-def read_estimate_json(path) -> EstimateResult:
-    path = Path(path)
-    payload = json.loads(path.read_text())
-    if payload.get("schema") != ESTIMATE_SCHEMA:
-        raise DataFormatError(f"{path}: unexpected schema {payload.get('schema')!r}")
-    return EstimateResult(
-        np.asarray(payload["grid"], dtype=float),
-        np.asarray(payload["p_hat"], dtype=float),
-        np.asarray(payload["mu_hat"], dtype=float),
-        np.asarray([CLAMP_NAMES.index(c) for c in payload["clamp_flags"]], dtype=np.int8),
-        np.asarray([FAIL_NAMES.index(c) for c in payload["failures"]], dtype=np.int8),
-        float(payload["bandwidth_used"]),
-        str(payload["estimator"]),
-        float(payload["nu"]),
-    )
+def _bad(path, row, col, what: str, raw) -> DataFormatError:
+    at = f"row {row}, column {col!r}" if row is not None else f"column {col!r}"
+    return DataFormatError(f"{path}: {what} at {at}: {raw!r}")
 
 
-# ---------------------------------------------------------------------------
-# summary tables
+def _parse_int(raw, row, col, path) -> int:
+    if isinstance(raw, str) or type(raw) is int:
+        try:
+            return int(raw)
+        except ValueError:
+            pass
+    raise _bad(path, row, col, "malformed integer cell", raw)
 
 
-_TABLE_COLS = [
-    "model", "law", "n", "nu", "estimator",
-    "med_ise_e4", "iqr_ise_e4", "n_failed_reps", "replicates",
-]
+def _parse_str(raw, row, col, path) -> str:
+    if isinstance(raw, str):
+        return raw
+    raise _bad(path, row, col, "malformed text cell", raw)
 
 
-def write_table_csv(rows: list[TableRow], path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TABLE_COLS)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.model_id, r.law, str(r.n), str(r.nu), r.estimator,
-                    _fmt(r.cell.med_ise_e4), _fmt(r.cell.iqr_ise_e4),
-                    str(r.cell.n_failed_reps), str(r.cell.replicates),
-                ]
-            )
-    return path
+def _parse_opt(raw, row, col, path) -> float | None:
+    if raw == "" or raw is None:
+        return None
+    return _parse_float(raw, row, col, path, finite=False)
 
 
-def read_table_csv(path) -> list[TableRow]:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != _TABLE_COLS:
-            raise DataFormatError(f"{path}: unexpected table header {header}")
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            cell = SummaryCell(
-                _parse_float(row[5], i, "med_ise_e4", path, finite=False),
-                _parse_float(row[6], i, "iqr_ise_e4", path, finite=False),
-                int(row[7]),
-                int(row[8]),
-            )
-            rows.append(TableRow(row[0], row[1], int(row[2]), int(row[3]), row[4], cell))
-    return rows
+def _names(names: tuple[str, ...]) -> _Kind:
+    def parse(raw, row, col, path) -> int:
+        if isinstance(raw, str) and raw in names:
+            return names.index(raw)
+        raise _bad(path, row, col, f"unknown name (one of {', '.join(names)})", raw)
+
+    return _Kind(names.__getitem__, parse, np.int8, names.__getitem__)
 
 
-def write_table_json(rows: list[TableRow], path) -> Path:
-    path = Path(path)
-    payload = {
-        "schema": TABLE_SCHEMA,
-        "rows": [
-            {
-                "model": r.model_id,
-                "law": r.law,
-                "n": r.n,
-                "nu": r.nu,
-                "estimator": r.estimator,
-                "med_ise_e4": float(r.cell.med_ise_e4),
-                "iqr_ise_e4": float(r.cell.iqr_ise_e4),
-                "n_failed_reps": r.cell.n_failed_reps,
-                "replicates": r.cell.replicates,
-            }
-            for r in rows
-        ],
-    }
-    path.write_text(json.dumps(payload, indent=1))
-    return path
+_KINDS = {
+    "float": _Kind(_fmt, _parse_float),  # finite
+    "nan": _Kind(_fmt, partial(_parse_float, finite=False)),  # NaN and inf allowed
+    "int": _Kind(str, _parse_int, np.int64),
+    "str": _Kind(str, _parse_str, object, str),
+    "clamp": _names(CLAMP_NAMES),
+    "fail": _names(FAIL_NAMES),
+    # a float, NaN included, or None written as an empty cell
+    "opt": _Kind(lambda v: "" if v is None else _fmt(v), _parse_opt,
+                 json=lambda v: None if v is None else float(v)),
+}
 
-
-def read_table_json(path) -> list[TableRow]:
-    path = Path(path)
-    payload = json.loads(path.read_text())
-    if payload.get("schema") != TABLE_SCHEMA:
-        raise DataFormatError(f"{path}: unexpected schema {payload.get('schema')!r}")
-    return [
-        TableRow(
-            r["model"], r["law"], int(r["n"]), int(r["nu"]), r["estimator"],
-            SummaryCell(
-                float(r["med_ise_e4"]), float(r["iqr_ise_e4"]),
-                int(r["n_failed_reps"]), int(r["replicates"]),
-            ),
-        )
-        for r in payload["rows"]
-    ]
-
-
-_TRACE_COLS = ["model", "law", "n", "nu", "estimator", "replicate", "ise"]
-
-
-def write_traces_csv(rows: list[TraceRow], path) -> Path:
-    """Per-replicate ISE audit trail; failed replicates get an empty cell."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_TRACE_COLS)
-        for r in rows:
-            writer.writerow(
-                [r.model_id, r.law, str(r.n), str(r.nu), r.estimator,
-                 str(r.replicate), "" if r.ise is None else _fmt(r.ise)]
-            )
-    return path
-
-
-def read_traces_csv(path) -> list[TraceRow]:
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != _TRACE_COLS:
-            raise DataFormatError(f"{path}: unexpected trace header {header}")
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            val = (None if row[6] == ""
-                   else _parse_float(row[6], i, "ise", path, finite=False))
-            rows.append(
-                TraceRow(row[0], row[1], int(row[2]), int(row[3]), row[4],
-                         int(row[5]), val)
-            )
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# experiments and diagnostics
-
-
-def write_rate_json(res: RateResult, path) -> Path:
-    path = Path(path)
-    payload = {
-        "schema": RATE_SCHEMA,
-        "n_values": list(res.n_values),
-        "med_ise": [float(v) for v in res.med_ise],
-        "bandwidths": [float(v) for v in res.bandwidths],
-        "slope": float(res.slope),
-        "slope_band": [float(res.slope_band[0]), float(res.slope_band[1])],
-        "n_failed": list(res.n_failed),
-    }
-    path.write_text(json.dumps(payload, indent=1))
-    return path
-
-
-def write_rate_csv(res: RateResult, path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "med_ise", "bandwidth", "n_failed"])
-        for n, m, h, f in zip(res.n_values, res.med_ise, res.bandwidths, res.n_failed):
-            writer.writerow([str(n), _fmt(m), _fmt(h), str(f)])
-    return path
-
-
-def write_overpool_json(rows: list[OverpoolRow], path) -> Path:
-    path = Path(path)
-    payload = {
-        "schema": OVERPOOL_SCHEMA,
-        "rows": [
-            {
-                "nu": r.nu,
-                "med_ise_e4": float(r.med_ise_e4),
-                "iqr_ise_e4": float(r.iqr_ise_e4),
-                "n_failed": r.n_failed,
-                "n_all_positive": r.n_all_positive,
-                "lambda_mid": float(r.lambda_mid),
-            }
-            for r in rows
-        ],
-    }
-    path.write_text(json.dumps(payload, indent=1))
-    return path
-
-
-def write_overpool_csv(rows: list[OverpoolRow], path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["nu", "med_ise_e4", "iqr_ise_e4", "n_failed", "n_all_positive",
-             "lambda_mid"]
-        )
-        for r in rows:
-            writer.writerow(
-                [str(r.nu), _fmt(r.med_ise_e4), _fmt(r.iqr_ise_e4),
-                 str(r.n_failed), str(r.n_all_positive), _fmt(r.lambda_mid)]
-            )
-    return path
-
-
-def write_diagnostics_csv(diag: AsymptoticDiagnostics, path) -> Path:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "A", "B", "A1", "B1", "lambda_n", "v"])
-        for i in range(np.asarray(diag.x).shape[0]):
-            writer.writerow(
-                [_fmt(diag.x[i]), _fmt(diag.A[i]), _fmt(diag.B[i]),
-                 _fmt(diag.A1[i]), _fmt(diag.B1[i]), _fmt(diag.lambda_n[i]),
-                 _fmt(diag.v[i])]
-            )
-    return path
-
-
-def write_diagnostics_json(diag: AsymptoticDiagnostics, path) -> Path:
-    path = Path(path)
-    payload = {
-        "schema": DIAGNOSTICS_SCHEMA,
-        "q": float(diag.q),
-        "b_const": float(diag.b_const),
-        "x": [float(v) for v in np.asarray(diag.x)],
-        "A": [float(v) for v in np.asarray(diag.A)],
-        "B": [float(v) for v in np.asarray(diag.B)],
-        "A1": [float(v) for v in np.asarray(diag.A1)],
-        "B1": [float(v) for v in np.asarray(diag.B1)],
-        "lambda_n": [float(v) for v in np.asarray(diag.lambda_n)],
-        "v": [float(v) for v in np.asarray(diag.v)],
-    }
-    path.write_text(json.dumps(payload, indent=1))
-    return path
-
-
-# ---------------------------------------------------------------------------
-# dispatching writer
-
-
-_WRITERS = {
-    "csv": {
-        EstimateResult: write_estimate_csv,
-        RateResult: write_rate_csv,
-        AsymptoticDiagnostics: write_diagnostics_csv,
-    },
-    "json": {
-        EstimateResult: write_estimate_json,
-        RateResult: write_rate_json,
-        AsymptoticDiagnostics: write_diagnostics_json,
-    },
+_A = np.ndarray
+_SPECS = {
+    EstimateResult: _Spec(
+        "poolreg.estimate.v1", False,
+        (_Field("estimator", "str", attr="estimator_tag"), _Field("nu", "float"),
+         _Field("bandwidth_used", "float"), _Field("grid", "float", _A),
+         _Field("p_hat", "nan", _A), _Field("mu_hat", "nan", _A),
+         _Field("clamp_flags", "clamp", _A), _Field("failures", "fail", _A)),
+        (("x", "grid"), "p_hat", "mu_hat", ("clamp_flag", "clamp_flags"),
+         ("failure", "failures"), "estimator", "nu", "bandwidth_used"),
+    ),
+    TableRow: _Spec(
+        "poolreg.table.v1", True,
+        (_Field("model", "str", attr="model_id"), _Field("law", "str"),
+         _Field("n", "int"), _Field("nu", "int"), _Field("estimator", "str"),
+         _Field("med_ise_e4", "nan", attr="cell.med_ise_e4"),
+         _Field("iqr_ise_e4", "nan", attr="cell.iqr_ise_e4"),
+         _Field("n_failed_reps", "int", attr="cell.n_failed_reps"),
+         _Field("replicates", "int", attr="cell.replicates")),
+        ("model", "law", "n", "nu", "estimator", "med_ise_e4", "iqr_ise_e4",
+         "n_failed_reps", "replicates"),
+    ),
+    TraceRow: _Spec(
+        None, True,
+        (_Field("model", "str", attr="model_id"), _Field("law", "str"),
+         _Field("n", "int"), _Field("nu", "int"), _Field("estimator", "str"),
+         _Field("replicate", "int"), _Field("ise", "opt")),
+        ("model", "law", "n", "nu", "estimator", "replicate", "ise"),
+    ),
+    RateResult: _Spec(
+        "poolreg.rate.v1", False,
+        (_Field("n_values", "int", tuple), _Field("med_ise", "nan", tuple),
+         _Field("bandwidths", "float", tuple), _Field("slope", "nan"),
+         _Field("slope_band", "nan", tuple), _Field("n_failed", "int", tuple)),
+        (("n", "n_values"), "med_ise", ("bandwidth", "bandwidths"), "n_failed"),
+    ),
+    OverpoolRow: _Spec(
+        "poolreg.overpool.v1", True,
+        (_Field("nu", "int"), _Field("med_ise_e4", "nan"), _Field("iqr_ise_e4", "nan"),
+         _Field("n_failed", "int"), _Field("n_all_positive", "int"),
+         _Field("lambda_mid", "nan")),
+        ("nu", "med_ise_e4", "iqr_ise_e4", "n_failed", "n_all_positive", "lambda_mid"),
+    ),
+    AsymptoticDiagnostics: _Spec(
+        "poolreg.diagnostics.v1", False,
+        (_Field("q", "float"), _Field("b_const", "float"), _Field("x", "float", _A),
+         *(_Field(k, "nan", _A) for k in ("A", "B", "A1", "B1", "lambda_n", "v"))),
+        ("x", "A", "B", "A1", "B1", "lambda_n", "v"),
+    ),
 }
 
 
+def _columns(spec: _Spec) -> list[tuple[str, _Field]]:
+    """(CSV header, field) in file order."""
+    fields = {f.key: f for f in spec.fields}
+    return [(c, fields[c]) if isinstance(c, str) else (c[0], fields[c[1]])
+            for c in spec.columns]
+
+
+def _getter(f: _Field):
+    return attrgetter(f.attr or f.key)
+
+
+def _format(path: Path, spec: _Spec, cls: type) -> str:
+    """The file suffix's format, if the type has it."""
+    if path.suffix == ".csv" or path.suffix == ".json" and spec.schema is not None:
+        return path.suffix
+    raise DataFormatError(f"{path}: no {path.suffix or 'suffix'!r} format for "
+                          f"{cls.__name__}")
+
+
+def write_result(obj, path) -> Path:
+    """Write a result object (a list for row types); the suffix picks the format."""
+    path = Path(path)
+    rows = isinstance(obj, list)
+    cls = type(obj[0]) if rows and obj else type(obj)
+    spec = _SPECS.get(cls)
+    if spec is None or spec.rows != rows:
+        raise DataFormatError(f"no writer for object of type {type(obj).__name__}")
+    write = _write_csv if _format(path, spec, cls) == ".csv" else _write_json
+    write(spec, obj, path)
+    return path
+
+
+# The CLI writes traces by this name, and the benchmark's tracer hooks it.
+write_traces_csv = write_result
+
+
+def _write_csv(spec: _Spec, obj, path: Path) -> None:
+    columns = _columns(spec)
+    n = len(obj) if spec.rows else len(_getter(columns[0][1])(obj))
+    headers, cells = [], []
+    for header, f in columns:
+        get, text = _getter(f), _KINDS[f.kind].text
+        values = [get(r) for r in obj] if spec.rows else get(obj)
+        if not spec.rows and f.array is None:
+            values = [values] * n
+        if getattr(values, "ndim", 1) == 2:
+            headers += [f"{header}{k + 1}" for k in range(values.shape[1])]
+            cells += [list(map(text, col)) for col in values.T]
+        else:
+            headers.append(header)
+            cells.append(list(map(text, values)))
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(headers)
+        writer.writerows(zip(*cells))
+
+
+def _to_json(f: _Field, value):
+    kind = _KINDS[f.kind]
+    if kind.json is None:  # numbers: one value or a (nested) array at once
+        return np.asarray(value, dtype=kind.dtype).tolist()
+    return [kind.json(v) for v in value] if f.array else kind.json(value)
+
+
+def _write_json(spec: _Spec, obj, path: Path) -> None:
+    def record(r) -> dict:
+        return {f.key: _to_json(f, _getter(f)(r)) for f in spec.fields}
+
+    body = {"rows": [record(r) for r in obj]} if spec.rows else record(obj)
+    path.write_text(json.dumps({"schema": spec.schema, **body}, indent=1))
+
+
+def read_result(path, kind: type):
+    """Read a file written by ``write_result`` back into ``kind`` records.
+
+    Row types come back as a list.  Every malformed file raises a
+    ``DataFormatError`` naming the path and, for a bad cell, its row and
+    column.
+    """
+    path = Path(path)
+    spec = _SPECS.get(kind)
+    if spec is None:
+        raise DataFormatError(f"no reader for {kind!r}")
+    read = _read_csv if _format(path, spec, kind) == ".csv" else _read_json
+    records = [_record(spec, kind, v, path) for v in read(spec, kind, path)]
+    return records if spec.rows else records[0]
+
+
+def _read_csv(spec: _Spec, kind: type, path: Path) -> list[dict]:
+    columns = _columns(spec)
+    missing = {f.key for f in spec.fields} - {f.key for _, f in columns}
+    if missing:
+        raise DataFormatError(f"{path}: a {kind.__name__} CSV file does not hold "
+                              f"{', '.join(sorted(missing))}; read its JSON file")
+    with path.open(newline="") as fh:
+        lines = list(csv.reader(fh))
+    if not lines:
+        raise DataFormatError(f"{path}: empty file")
+    header = [h.strip() for h in lines[0]]
+    names = [name for name, _ in columns]
+    width = len(header) - len(names) + 1  # of the first column: x, or x1..xd
+    spread = header[:1] != names[:1] and columns[0][1].array is np.ndarray
+    if spread:
+        names[:1] = [f"{names[0]}{k}" for k in range(1, width + 1)]
+    if header != names:
+        raise DataFormatError(f"{path}: header {header} does not match the "
+                              f"{kind.__name__} columns {names}")
+    body = [(i, row) for i, row in enumerate(lines[1:], start=2) if row]
+    for i, row in body:
+        if len(row) != len(header):
+            raise DataFormatError(
+                f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
+            )
+    fields = [columns[0][1]] * width + [f for _, f in columns[1:]]
+    cells = [[_KINDS[f.kind].parse(row[j], i, header[j], path) for i, row in body]
+             for j, f in enumerate(fields)]
+    values = {f.key: c for f, c in zip(fields[width - 1:], cells[width - 1:])}
+    if spread:  # x1..xd: one tuple per row
+        values[fields[0].key] = list(zip(*cells[:width]))
+    if spec.rows:
+        return [dict(zip(values, r)) for r in zip(*values.values())]
+    if not body:
+        raise DataFormatError(f"{path}: no data rows")
+    for j, f in enumerate(fields):
+        if f.array is None:
+            if len({row[j] for _, row in body}) > 1:
+                raise DataFormatError(
+                    f"{path}: column {header[j]!r} must hold one value on every row")
+            values[f.key] = values[f.key][0]
+    return [values]
+
+
+def _read_json(spec: _Spec, kind: type, path: Path) -> list[dict]:
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: not a JSON file ({exc})") from None
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != spec.schema:
+        raise DataFormatError(f"{path}: unexpected schema {schema!r}")
+    if not spec.rows:
+        return [_json_record(spec, payload, None, path)]
+    if not isinstance(payload.get("rows"), list):
+        raise DataFormatError(f"{path}: missing key 'rows' or it is not a list")
+    return [_json_record(spec, r, i, path) for i, r in enumerate(payload["rows"])]
+
+
+def _json_record(spec: _Spec, obj, row, path) -> dict:
+    where = f"{path}: " if row is None else f"{path}: row {row}: "
+    if not isinstance(obj, dict):
+        raise DataFormatError(f"{where}not a JSON object")
+    values = {}
+    for f in spec.fields:
+        if f.key not in obj:
+            raise DataFormatError(f"{where}missing key {f.key!r}")
+        raw, parse = obj[f.key], _KINDS[f.kind].parse
+        if f.array is None:
+            values[f.key] = parse(raw, row, f.key, path)
+        elif not isinstance(raw, list):
+            raise _bad(path, row, f.key, "not a JSON array", raw)
+        else:  # row i of an array is its i-th element, itself a list on a 2-d grid
+            values[f.key] = [[parse(x, i, f.key, path) for x in r] if isinstance(r, list)
+                             else parse(r, i, f.key, path) for i, r in enumerate(raw)]
+    return values
+
+
+def _record(spec: _Spec, cls: type, values: dict, path):
+    """A record from its values by key: arrays into their containers."""
+    attrs = {}
+    for f in spec.fields:
+        v = values[f.key]
+        if f.array is tuple:
+            v = tuple(v)
+        elif f.array is not None:
+            try:
+                v = np.asarray(v, dtype=_KINDS[f.kind].dtype)
+            except ValueError:
+                raise DataFormatError(f"{path}: ragged array {f.key!r}") from None
+        attrs[f.attr or f.key] = v
+    return _build(cls, attrs)
+
+
+def _build(cls: type, attrs: dict):
+    """``cls`` from values by attribute path; "cell.replicates" nests."""
+    nested = {}
+    for path in [p for p in attrs if "." in p]:
+        head, rest = path.split(".", 1)
+        nested.setdefault(head, {})[rest] = attrs.pop(path)
+    hints = typing.get_type_hints(cls) if nested else {}
+    return cls(**attrs, **{k: _build(hints[k], sub) for k, sub in nested.items()})
+
+
 def emit_results(obj, formats, outdir, stem: str) -> list[Path]:
-    """Write an estimate/table/experiment object in each requested format."""
+    """Write a result object as ``<outdir>/<stem>.<format>`` in each format."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
     for fmt in formats:
         if fmt not in ("csv", "json"):
             raise DataFormatError(f"unknown output format {fmt!r}")
-        target = outdir / f"{stem}.{fmt}"
-        if isinstance(obj, EstimateResult) or isinstance(obj, RateResult) or isinstance(
-            obj, AsymptoticDiagnostics
-        ):
-            written.append(_WRITERS[fmt][type(obj)](obj, target))
-        elif isinstance(obj, list) and obj and isinstance(obj[0], TableRow):
-            writer = write_table_csv if fmt == "csv" else write_table_json
-            written.append(writer(obj, target))
-        elif isinstance(obj, list) and obj and isinstance(obj[0], OverpoolRow):
-            writer = write_overpool_csv if fmt == "csv" else write_overpool_json
-            written.append(writer(obj, target))
-        else:
-            raise DataFormatError(f"no writer for object of type {type(obj).__name__}")
+        written.append(write_result(obj, outdir / f"{stem}.{fmt}"))
     return written

@@ -341,19 +341,9 @@ def rate_experiment(
             replicates,
             seed,
         )
-        a = model.law.quantile(0.05)
-        b = model.law.quantile(0.95)
-        grid = np.linspace(a, b, ISE_GRID_POINTS)
-        scores = []
-        n_failed = 0
-        for r in range(replicates):
-            raw = sample_replicate(model, n, seed_stream(seed, i, r))
-            pool_rng = seed_stream(seed, i, r, _DM_POOL_SALT)
-            try:
-                est = _estimate_one(estimator, raw, spec, grid, pool_rng)
-                scores.append(ise(est, model))
-            except (EstimationError, BandwidthError, PoolingError, ReplicateFailed):
-                n_failed += 1
+        per_rep = _run_cell(spec, i)[1][estimator]
+        scores = [v for v in per_rep if v is not None]
+        n_failed = len(per_rep) - len(scores)
         if not scores or n_failed > 0.25 * replicates:
             raise ExperimentError(
                 f"rate experiment cell N={n} failed "

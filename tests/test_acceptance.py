@@ -16,6 +16,7 @@ from conftest import record_criterion
 from poolreg import (
     BandwidthRule,
     EPANECHNIKOV,
+    EstimateResult,
     GAUSSIAN,
     RawDataset,
     SimulationSpec,
@@ -40,10 +41,10 @@ from poolreg import (
 from poolreg.io import (
     ingest_individual_csv,
     ingest_pooled_csv,
-    read_estimate_json,
-    write_estimate_json,
+    read_result,
     write_individual_csv,
     write_pooled_csv,
+    write_result,
 )
 from poolreg.smoothing import effective_weight_moments
 
@@ -302,7 +303,7 @@ def test_criterion_8_property_suites_under_a_minute(tmp_path):
     back_pool = ingest_pooled_csv(p_pool)
     np.testing.assert_array_equal(back_pool.centers(), pooled.centers())
     est = estimate_dh(pooled, spec, grid)
-    assert read_estimate_json(write_estimate_json(est, tmp_path / "e.json")) == est
+    assert read_result(write_result(est, tmp_path / "e.json"), EstimateResult) == est
 
     # seeded determinism: bitwise-identical cells and files
     spec_sim = SimulationSpec(
@@ -312,8 +313,8 @@ def test_criterion_8_property_suites_under_a_minute(tmp_path):
     c1 = run_cell(spec_sim, 0)
     c2 = run_cell(spec_sim, 0)
     assert c1["DH"].med_ise_e4 == c2["DH"].med_ise_e4
-    e1 = write_estimate_json(est, tmp_path / "d1.json").read_bytes()
-    e2 = write_estimate_json(est, tmp_path / "d2.json").read_bytes()
+    e1 = write_result(est, tmp_path / "d1.json").read_bytes()
+    e2 = write_result(est, tmp_path / "d2.json").read_bytes()
     assert e1 == e2
 
     elapsed = time.time() - t0

@@ -12,6 +12,8 @@ from poolreg import (
     EstimationError,
     GAUSSIAN,
     SmootherSpec,
+    TableRow,
+    TraceRow,
     estimate_dh,
     make_model,
     pool_homogeneous,
@@ -25,16 +27,10 @@ from poolreg.io import (
     emit_results,
     ingest_individual_csv,
     ingest_pooled_csv,
-    read_estimate_csv,
-    read_estimate_json,
-    read_table_csv,
-    read_table_json,
-    write_estimate_csv,
-    write_estimate_json,
+    read_result,
     write_individual_csv,
     write_pooled_csv,
-    write_table_csv,
-    write_table_json,
+    write_result,
 )
 
 
@@ -180,13 +176,13 @@ class TestEstimateCodecs:
 
     def test_json_round_trip_equal(self, tmp_path):
         est = self.make_estimate()
-        path = write_estimate_json(est, tmp_path / "e.json")
-        assert read_estimate_json(path) == est
+        path = write_result(est, tmp_path / "e.json")
+        assert read_result(path, EstimateResult) == est
 
     def test_csv_round_trip_equal(self, tmp_path):
         est = self.make_estimate()
-        path = write_estimate_csv(est, tmp_path / "e.csv")
-        assert read_estimate_csv(path) == est
+        path = write_result(est, tmp_path / "e.csv")
+        assert read_result(path, EstimateResult) == est
 
     def test_empty_grid_gives_header_only_csv(self, tmp_path):
         empty = EstimateResult(
@@ -194,7 +190,7 @@ class TestEstimateCodecs:
             np.empty(0, dtype=np.int8), np.empty(0, dtype=np.int8),
             0.1, "LL", 1,
         )
-        path = write_estimate_csv(empty, tmp_path / "e.csv")
+        path = write_result(empty, tmp_path / "e.csv")
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("x,p_hat")
 
@@ -205,13 +201,13 @@ class TestEstimateCodecs:
             np.zeros(2, dtype=np.int8), np.array([1, 0], dtype=np.int8),
             0.1, "DH", 2,
         )
-        path = write_estimate_csv(est, tmp_path / "e.csv")
-        assert read_estimate_csv(path) == est
+        path = write_result(est, tmp_path / "e.csv")
+        assert read_result(path, EstimateResult) == est
 
     def test_seventeen_digit_fidelity(self, tmp_path):
         est = self.make_estimate()
-        path = write_estimate_csv(est, tmp_path / "e.csv")
-        back = read_estimate_csv(path)
+        path = write_result(est, tmp_path / "e.csv")
+        back = read_result(path, EstimateResult)
         assert back.bandwidth_used == est.bandwidth_used
         np.testing.assert_array_equal(back.p_hat, est.p_hat)
 
@@ -230,18 +226,18 @@ class TestTableCodecs:
 
     def test_one_row_per_cell(self, tmp_path):
         rows = self.make_rows()
-        path = write_table_csv(rows, tmp_path / "t.csv")
+        path = write_result(rows, tmp_path / "t.csv")
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1 + 4  # header + (1 model x 1 N x 2 nu x 2 estimators)
 
     def test_csv_round_trip(self, tmp_path):
         rows = self.make_rows()
-        back = read_table_csv(write_table_csv(rows, tmp_path / "t.csv"))
+        back = read_result(write_result(rows, tmp_path / "t.csv"), TableRow)
         assert back == rows
 
     def test_json_round_trip(self, tmp_path):
         rows = self.make_rows()
-        back = read_table_json(write_table_json(rows, tmp_path / "t.json"))
+        back = read_result(write_result(rows, tmp_path / "t.json"), TableRow)
         assert back == rows
 
 
@@ -320,6 +316,22 @@ class TestCli:
         ])
         assert code == 2
 
+    def test_dm_on_bivariate_pools_is_a_clean_error(self, tmp_path, caplog):
+        p = tmp_path / "g.csv"
+        p.write_text(
+            "group_id,x1,x2,group_result\n"
+            "a,0.1,0.2,1\na,0.3,0.1,1\n"
+            "b,0.5,0.6,0\nb,0.4,0.7,0\n"
+            "c,0.9,0.8,1\nc,0.8,0.9,1\n"
+        )
+        with caplog.at_level(logging.ERROR, logger="poolreg"):
+            code = main([
+                "estimate", "--input", str(p), "--estimator", "dm",
+                "--bandwidth", "fixed:0.3", "--out", str(tmp_path / "o"),
+            ])
+        assert code == 2
+        assert "estimate_dm is univariate" in caplog.text
+
     def test_dh_without_responses_explains_y_needed(self, tmp_path, capsys):
         p = tmp_path / "x.csv"
         p.write_text("x\n0.1\n0.5\n0.9\n")
@@ -357,9 +369,7 @@ class TestCli:
             "--bandwidth", "fixed:0.2", "--traces", "--out", str(out),
         ])
         assert code == 0
-        from poolreg.io import read_traces_csv
-
-        traces = read_traces_csv(out / "table_traces.csv")
+        traces = read_result(out / "table_traces.csv", TraceRow)
         assert len(traces) == 4
         assert {t.replicate for t in traces} == {0, 1, 2, 3}
 
@@ -428,7 +438,7 @@ class TestCli:
             "--config", str(cfg), "estimate", "--input", str(data_csv),
             "--estimator", "dh", "--out", str(out1),
         ]) == 0
-        est1 = read_estimate_json(out1 / "estimate_dh.json")
+        est1 = read_result(out1 / "estimate_dh.json", EstimateResult)
         assert est1.bandwidth_used == 0.2
 
         out2 = tmp_path / "o2"
@@ -436,7 +446,7 @@ class TestCli:
             "--config", str(cfg), "estimate", "--input", str(data_csv),
             "--estimator", "dh", "--bandwidth", "fixed:0.3", "--out", str(out2),
         ]) == 0
-        est2 = read_estimate_json(out2 / "estimate_dh.json")
+        est2 = read_result(out2 / "estimate_dh.json", EstimateResult)
         assert est2.bandwidth_used == 0.3
 
     def test_missing_input_file(self, tmp_path):

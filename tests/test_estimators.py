@@ -262,6 +262,15 @@ class TestEstimateDM:
         with pytest.raises(EstimationError, match="random"):
             estimate_dm(pooled, SPECS[0], np.array([0.5]))
 
+    def test_bivariate_pools_are_rejected(self):
+        members = np.array([[0.1, 0.2], [0.3, 0.1], [0.5, 0.6], [0.4, 0.7],
+                            [0.9, 0.8], [0.8, 0.9]])
+        sizes = np.array([2, 2, 2])
+        pooled = PooledDataset(members, sizes, members.reshape(3, 2, 2).mean(axis=1),
+                               np.array([1, 0, 1], dtype=np.int8), "generic", 2.0, 2)
+        with pytest.raises(EstimationError, match="estimate_dm is univariate"):
+            estimate_dm(pooled, SPECS[0], np.array([[0.5, 0.5]]))
+
     def test_output_range_and_tag(self):
         raw = synthetic_raw(9, n=500, slope=0.5)
         pooled = pool_random(raw, 5, 11)

@@ -23,11 +23,10 @@ from __future__ import annotations
 import csv
 import json
 import math
-import typing
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -47,6 +46,11 @@ class DataFormatError(ValueError):
 
 def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _bad(path, row, col, what: str, raw) -> DataFormatError:
+    at = f"row {row}, column {col!r}" if row is not None else f"column {col!r}"
+    return DataFormatError(f"{path}: {what} at {at}: {raw!r}")
 
 
 def _parse_float(text: str, row: int, col: str, path, *, finite: bool = True) -> float:
@@ -261,12 +265,7 @@ class _Spec(NamedTuple):
     schema: str | None  # JSON schema tag; None: the type has no JSON format
     rows: bool  # a list of records, or one record of parallel arrays
     fields: tuple[_Field, ...]  # in JSON order
-    columns: tuple  # in CSV order: a key, or (header, key)
-
-
-def _bad(path, row, col, what: str, raw) -> DataFormatError:
-    at = f"row {row}, column {col!r}" if row is not None else f"column {col!r}"
-    return DataFormatError(f"{path}: {what} at {at}: {raw!r}")
+    columns: tuple | None = None  # CSV order: a key or (header, key); None: the keys
 
 
 def _parse_int(raw, row, col, path) -> int:
@@ -303,7 +302,7 @@ _KINDS = {
     "float": _Kind(_fmt, _parse_float),  # finite
     "nan": _Kind(_fmt, partial(_parse_float, finite=False)),  # NaN and inf allowed
     "int": _Kind(str, _parse_int, np.int64),
-    "str": _Kind(str, _parse_str, object, str),
+    "str": _Kind(str, _parse_str, json=str),
     "clamp": _names(CLAMP_NAMES),
     "fail": _names(FAIL_NAMES),
     # a float, NaN included, or None written as an empty cell
@@ -312,6 +311,8 @@ _KINDS = {
 }
 
 _A = np.ndarray
+_CELL = (_Field("model", "str", attr="model_id"), _Field("law", "str"), _Field("n", "int"),
+         _Field("nu", "int"), _Field("estimator", "str"))
 _SPECS = {
     EstimateResult: _Spec(
         "poolreg.estimate.v1", False,
@@ -324,22 +325,12 @@ _SPECS = {
     ),
     TableRow: _Spec(
         "poolreg.table.v1", True,
-        (_Field("model", "str", attr="model_id"), _Field("law", "str"),
-         _Field("n", "int"), _Field("nu", "int"), _Field("estimator", "str"),
-         _Field("med_ise_e4", "nan", attr="cell.med_ise_e4"),
+        (*_CELL, _Field("med_ise_e4", "nan", attr="cell.med_ise_e4"),
          _Field("iqr_ise_e4", "nan", attr="cell.iqr_ise_e4"),
          _Field("n_failed_reps", "int", attr="cell.n_failed_reps"),
          _Field("replicates", "int", attr="cell.replicates")),
-        ("model", "law", "n", "nu", "estimator", "med_ise_e4", "iqr_ise_e4",
-         "n_failed_reps", "replicates"),
     ),
-    TraceRow: _Spec(
-        None, True,
-        (_Field("model", "str", attr="model_id"), _Field("law", "str"),
-         _Field("n", "int"), _Field("nu", "int"), _Field("estimator", "str"),
-         _Field("replicate", "int"), _Field("ise", "opt")),
-        ("model", "law", "n", "nu", "estimator", "replicate", "ise"),
-    ),
+    TraceRow: _Spec(None, True, (*_CELL, _Field("replicate", "int"), _Field("ise", "opt"))),
     RateResult: _Spec(
         "poolreg.rate.v1", False,
         (_Field("n_values", "int", tuple), _Field("med_ise", "nan", tuple),
@@ -352,7 +343,6 @@ _SPECS = {
         (_Field("nu", "int"), _Field("med_ise_e4", "nan"), _Field("iqr_ise_e4", "nan"),
          _Field("n_failed", "int"), _Field("n_all_positive", "int"),
          _Field("lambda_mid", "nan")),
-        ("nu", "med_ise_e4", "iqr_ise_e4", "n_failed", "n_all_positive", "lambda_mid"),
     ),
     AsymptoticDiagnostics: _Spec(
         "poolreg.diagnostics.v1", False,
@@ -367,7 +357,7 @@ def _columns(spec: _Spec) -> list[tuple[str, _Field]]:
     """(CSV header, field) in file order."""
     fields = {f.key: f for f in spec.fields}
     return [(c, fields[c]) if isinstance(c, str) else (c[0], fields[c[1]])
-            for c in spec.columns]
+            for c in spec.columns or fields]
 
 
 def _getter(f: _Field):
@@ -467,7 +457,7 @@ def _read_csv(spec: _Spec, kind: type, path: Path) -> list[dict]:
     spread = header[:1] != names[:1] and columns[0][1].array is np.ndarray
     if spread:
         names[:1] = [f"{names[0]}{k}" for k in range(1, width + 1)]
-    if header != names:
+    if header != names or width < 1:
         raise DataFormatError(f"{path}: header {header} does not match the "
                               f"{kind.__name__} columns {names}")
     body = [(i, row) for i, row in enumerate(lines[1:], start=2) if row]
@@ -479,7 +469,7 @@ def _read_csv(spec: _Spec, kind: type, path: Path) -> list[dict]:
     fields = [columns[0][1]] * width + [f for _, f in columns[1:]]
     cells = [[_KINDS[f.kind].parse(row[j], i, header[j], path) for i, row in body]
              for j, f in enumerate(fields)]
-    values = {f.key: c for f, c in zip(fields[width - 1:], cells[width - 1:])}
+    values = {f.key: c for f, c in zip(fields, cells)}
     if spread:  # x1..xd: one tuple per row
         values[fields[0].key] = list(zip(*cells[:width]))
     if spec.rows:
@@ -504,7 +494,11 @@ def _read_json(spec: _Spec, kind: type, path: Path) -> list[dict]:
     if schema != spec.schema:
         raise DataFormatError(f"{path}: unexpected schema {schema!r}")
     if not spec.rows:
-        return [_json_record(spec, payload, None, path)]
+        values = _json_record(spec, payload, None, path)
+        lengths = {f.key: len(values[f.key]) for _, f in _columns(spec) if f.array}
+        if len(set(lengths.values())) > 1:
+            raise DataFormatError(f"{path}: parallel arrays differ in length: {lengths}")
+        return [values]
     if not isinstance(payload.get("rows"), list):
         raise DataFormatError(f"{path}: missing key 'rows' or it is not a list")
     return [_json_record(spec, r, i, path) for i, r in enumerate(payload["rows"])]
@@ -551,7 +545,7 @@ def _build(cls: type, attrs: dict):
     for path in [p for p in attrs if "." in p]:
         head, rest = path.split(".", 1)
         nested.setdefault(head, {})[rest] = attrs.pop(path)
-    hints = typing.get_type_hints(cls) if nested else {}
+    hints = get_type_hints(cls) if nested else {}
     return cls(**attrs, **{k: _build(hints[k], sub) for k, sub in nested.items()})
 
 

@@ -17,7 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from poolreg.estimators import AsymptoticDiagnostics, EstimateResult
-from poolreg.io import DataFormatError, emit_results, read_result, write_result, write_traces_csv
+from poolreg.io import (
+    DataFormatError, emit_results, read_result, write_result, write_traces_csv,
+)
 from poolreg.simulation import OverpoolRow, RateResult, SummaryCell, TableRow, TraceRow
 
 PINS = Path(__file__).parent / "result_pins"
@@ -126,7 +128,8 @@ def same(a, b) -> bool:
         nan = np.isnan(a)
         return (nan == np.isnan(b)).all() and a[~nan].tobytes() == b[~nan].tobytes()
     if isinstance(a, float):
-        return math.isnan(a) and math.isnan(b) or np.float64(a).tobytes() == np.float64(b).tobytes()
+        return (math.isnan(a) and math.isnan(b)
+                or np.float64(a).tobytes() == np.float64(b).tobytes())
     return a == b
 
 
@@ -152,7 +155,8 @@ TEXT = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\x0
 
 
 def arrays(elements, n, dtype=float):
-    return st.lists(elements, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=dtype))
+    return st.lists(elements, min_size=n, max_size=n).map(
+        lambda v: np.array(v, dtype=dtype))
 
 
 @st.composite
@@ -162,7 +166,8 @@ def estimates(draw):
     grid = draw(arrays(FINITE, m * (d or 1))).reshape((m, d) if d else (m,))
     return EstimateResult(
         grid, draw(arrays(ANY, m)), draw(arrays(ANY, m)),
-        draw(arrays(st.integers(0, 2), m, np.int8)), draw(arrays(st.integers(0, 2), m, np.int8)),
+        draw(arrays(st.integers(0, 2), m, np.int8)),
+        draw(arrays(st.integers(0, 2), m, np.int8)),
         draw(FINITE), draw(TEXT), draw(FINITE),
     )
 
@@ -221,17 +226,19 @@ def test_round_trip_is_exact(kind, fmt, tmp_path):
 # ---------------------------------------------------------------------------
 # malformed files
 
-# (pinned file, text replaced, replacement, message pattern).  The readers
-# these files had before this codec let every one of them through, or failed
-# with a bare ValueError, IndexError, StopIteration or KeyError.
+# (pinned file, text replaced or None for the whole file, replacement,
+# message pattern)
 MALFORMED = {
     "unknown flag name": ("estimate_1d.csv", "clamped_high", "clamped_sideways",
                           r"unknown name.* row 4, column 'clamp_flag'"),
     "short row": ("estimate_1d.csv", ",DH,5,0.12345678901234568\r\n0.90", ",DH,5\r\n0.90",
                   r"row 3 has 7 cells, expected 8"),
-    "long row": ("table.csv", ",0,200\r\n", ",0,200,7\r\n", r"row 2 has 10 cells, expected 9"),
+    "long row": ("table.csv", ",0,200\r\n", ",0,200,7\r\n",
+                 r"row 2 has 10 cells, expected 9"),
     "empty file": ("table.csv", None, "", r"empty file"),
-    "header mismatch": ("estimate_1d.csv", "p_hat,mu_hat", "mu_hat,p_hat", r"header .* does not match"),
+    "header mismatch": ("estimate_1d.csv", "p_hat,mu_hat", "mu_hat,p_hat",
+                        r"header .* does not match"),
+    "no grid column": ("estimate_1d.csv", "x,p_hat", "p_hat", r"header .* does not match"),
     "bad int cell": ("table.csv", "DM,nan,nan,4,4", "DM,nan,nan,4.5,4",
                      r"malformed integer cell at row 3, column 'n_failed_reps'"),
     "bad int in JSON": ("table.json", '"n": 200,', '"n": 200.5,',
@@ -241,13 +248,17 @@ MALFORMED = {
     "non-finite grid": ("estimate_2d.json", "1e-300", "Infinity",
                         r"non-finite value at row 1, column 'grid'"),
     "scalar varies": ("estimate_1d.csv", ",DH,5,0.12345678901234568\r\n0.90",
-                      ",DH,6,0.12345678901234568\r\n0.90", r"column 'nu' must hold one value"),
+                      ",DH,6,0.12345678901234568\r\n0.90",
+                      r"column 'nu' must hold one value"),
+    "unequal arrays in JSON": ("estimate_1d.json", "  -0.0,\n  5e-324\n", "  -0.0\n",
+                               r"parallel arrays differ in length"),
     "missing JSON key": ("estimate_1d.json", '"grid"', '"grids"', r"missing key 'grid'"),
     "unknown name in JSON": ("estimate_2d.json", '"empty_bin"', '"boom"',
                              r"unknown name.* row 1, column 'failures'"),
     "not JSON": ("table.json", None, "{", r"not a JSON file"),
     "rate CSV": ("rate.csv", "", "", r"does not hold slope, slope_band; read its JSON"),
-    "diagnostics CSV": ("diagnostics.csv", "", "", r"does not hold b_const, q; read its JSON"),
+    "diagnostics CSV": ("diagnostics.csv", "", "",
+                        r"does not hold b_const, q; read its JSON"),
 }
 
 

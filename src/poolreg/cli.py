@@ -118,14 +118,12 @@ def _smoother(opt) -> SmootherSpec:
                         _parse_bandwidth(opt["bandwidth"]))
 
 
-def _pick(ns: argparse.Namespace, cfg: dict, key: str, fallback=None):
+def _pick(ns: argparse.Namespace, cfg: dict, key: str):
     val = getattr(ns, key, None)
     if val is not None:
         return val
     if key in cfg:
         return cfg[key]
-    if fallback is not None:
-        return fallback
     return _DEFAULTS.get(key)
 
 

@@ -112,6 +112,13 @@ def estimate_dh(
     Requires sorted contiguous pooling with a constant group size.  Fit
     failures at single grid points are flagged, not fatal; opting into
     ``widen_on_failure`` retries them with doubled bandwidths (3 attempts).
+
+    When every pool tests positive (Z* == 0 throughout), the smoothed
+    mu is 0 and the result is p_hat == 1 with every failure and clamp flag
+    0.  This is deliberate: the estimate is the data's honest answer, the
+    CLI warns about it, and the simulations score such a replicate (the
+    over-pooling experiment also counts it in ``n_all_positive``), so
+    raising instead would move their ``n_failed`` counts.
     """
     if pooled.strategy != "homogeneous_sorted":
         raise EstimationError(

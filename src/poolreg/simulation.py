@@ -9,7 +9,7 @@ order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .estimators import (
 )
 from .models import PrevalenceModel
 from .pooling import (
-    PoolingError,
     RawDataset,
     pool_binned,
     pool_homogeneous,
@@ -80,8 +79,11 @@ class SimulationSpec:
         bad = [e for e in self.estimators if e not in ESTIMATOR_NAMES]
         if bad:
             raise ValueError(f"unknown estimators {bad}; choose from {ESTIMATOR_NAMES}")
-        if any(e in ("DH", "DM") for e in self.estimators) and self.n % self.nu != 0:
-            raise ValueError("nu must divide N for the DH and DM estimators")
+        if any(e != "LL" for e in self.estimators):
+            if self.nu < 1:
+                raise ValueError("nu must be >= 1 for the pooled estimators")
+            if self.n % self.nu != 0:
+                raise ValueError("nu must divide N for the pooled estimators")
 
 
 @dataclass(frozen=True)
@@ -139,7 +141,6 @@ def ise(
     result: EstimateResult,
     model: PrevalenceModel,
     quantile_band: tuple[float, float] = (0.05, 0.95),
-    n_grid: int = ISE_GRID_POINTS,
 ) -> float:
     """Integrated squared error over the central quantile band of the law.
 
@@ -150,7 +151,7 @@ def ise(
     """
     a = model.law.quantile(quantile_band[0])
     b = model.law.quantile(quantile_band[1])
-    grid = np.linspace(a, b, n_grid)
+    grid = np.linspace(a, b, ISE_GRID_POINTS)
 
     gx = np.asarray(result.grid, dtype=float)
     if gx.ndim != 1:
@@ -178,50 +179,66 @@ def _binned_region(model: PrevalenceModel) -> tuple[tuple[float, float], ...]:
     return ((model.law.quantile(1e-4), model.law.quantile(1.0 - 1e-4)),)
 
 
+def _pool_one(name: str, raw: RawDataset, spec: SimulationSpec, pool_rng):
+    """The replicate's pools for a pooled estimator; LL keeps the raw sample."""
+    if name == "DH":
+        return pool_homogeneous(raw, spec.nu)
+    if name == "DM":
+        return pool_random(raw, spec.nu, pool_rng)
+    if name == "DH_binned":
+        return pool_binned(raw, spec.nu, _binned_region(spec.model))
+    return raw
+
+
 def _estimate_one(
-    name: str,
-    raw: RawDataset,
-    spec: SimulationSpec,
-    grid: np.ndarray,
-    pool_rng: np.random.Generator,
+    name: str, data, spec: SimulationSpec, grid: np.ndarray
 ) -> EstimateResult:
     if name == "DH":
-        return estimate_dh(pool_homogeneous(raw, spec.nu), spec.smoother, grid)
+        return estimate_dh(data, spec.smoother, grid)
     if name == "DM":
-        return estimate_dm(pool_random(raw, spec.nu, pool_rng), spec.smoother, grid)
+        return estimate_dm(data, spec.smoother, grid)
     if name == "LL":
-        return estimate_ll(raw, spec.smoother, grid)
-    pooled = pool_binned(raw, spec.nu, _binned_region(spec.model))
-    return estimate_dh_binned(pooled, spec.smoother, grid)
+        return estimate_ll(data, spec.smoother, grid)
+    return estimate_dh_binned(data, spec.smoother, grid)
 
 
 def _run_cell(spec: SimulationSpec, cell_index: int):
+    """The one replicate loop, shared by tables, rate and over-pooling runs.
+
+    Returns per estimator the replicate ISEs (None where unscorable) and the
+    count of replicates whose pools all tested positive.  Pooling sits
+    outside the ``try``: ``SimulationSpec`` has already validated nu.
+    """
     a = spec.model.law.quantile(0.05)
     b = spec.model.law.quantile(0.95)
     grid = np.linspace(a, b, ISE_GRID_POINTS)
 
     per_rep: dict[str, list[float | None]] = {e: [] for e in spec.estimators}
+    all_positive = dict.fromkeys(spec.estimators, 0)
     for r in range(spec.replicates):
         raw = sample_replicate(spec.model, spec.n, seed_stream(spec.seed, cell_index, r))
         pool_rng = seed_stream(spec.seed, cell_index, r, _DM_POOL_SALT)
         for name in spec.estimators:
+            data = _pool_one(name, raw, spec, pool_rng)
+            if name != "LL" and not data.z_star().any():
+                all_positive[name] += 1
             try:
-                est = _estimate_one(name, raw, spec, grid, pool_rng)
+                est = _estimate_one(name, data, spec, grid)
                 per_rep[name].append(ise(est, spec.model))
-            except (EstimationError, BandwidthError, PoolingError, ReplicateFailed):
+            except (EstimationError, BandwidthError, ReplicateFailed):
                 per_rep[name].append(None)
+    return per_rep, all_positive
 
-    cells = {}
-    for name in spec.estimators:
-        vals = np.asarray([v for v in per_rep[name] if v is not None])
-        n_failed = sum(1 for v in per_rep[name] if v is None)
-        if vals.size:
-            med = float(np.median(vals)) * 1e4
-            iqr = float(np.quantile(vals, 0.75) - np.quantile(vals, 0.25)) * 1e4
-        else:
-            med = iqr = math.nan
-        cells[name] = SummaryCell(med, iqr, n_failed, spec.replicates)
-    return cells, per_rep
+
+def _summary(scores: list[float | None], replicates: int) -> SummaryCell:
+    """10^4 x median and IQR of the scored replicates; None counts as failed."""
+    vals = np.asarray([v for v in scores if v is not None])
+    if vals.size:
+        med = float(np.median(vals)) * 1e4
+        iqr = float(np.quantile(vals, 0.75) - np.quantile(vals, 0.25)) * 1e4
+    else:
+        med = iqr = math.nan
+    return SummaryCell(med, iqr, len(scores) - vals.size, replicates)
 
 
 def run_cell(spec: SimulationSpec, cell_index: int = 0) -> dict[str, SummaryCell]:
@@ -231,8 +248,8 @@ def run_cell(spec: SimulationSpec, cell_index: int = 0) -> dict[str, SummaryCell
     that cannot be scored (sparse-data fit failures) are excluded from the
     median/IQR and counted.
     """
-    cells, _ = _run_cell(spec, cell_index)
-    return cells
+    per_rep, _ = _run_cell(spec, cell_index)
+    return {name: _summary(per_rep[name], spec.replicates) for name in spec.estimators}
 
 
 def run_table(
@@ -253,26 +270,19 @@ def run_table(
     summary rows for audit.
     """
     smoother = smoother if smoother is not None else default_table_smoother()
+    specs = [SimulationSpec(m, n, nu, tuple(estimators), smoother, replicates, seed)
+             for m in models for n in n_values for nu in nu_values]
     rows: list[TableRow] = []
     trace_rows: list[TraceRow] = []
-    cell_index = 0
-    for model in models:
-        for n in n_values:
-            for nu in nu_values:
-                spec = SimulationSpec(
-                    model, n, nu, tuple(estimators), smoother, replicates, seed
+    for cell_index, spec in enumerate(specs):
+        per_rep, _ = _run_cell(spec, cell_index)
+        key = (spec.model.model_id, spec.model.law.kind, spec.n, spec.nu)
+        for name in estimators:
+            rows.append(TableRow(*key, name, _summary(per_rep[name], replicates)))
+            if with_traces:
+                trace_rows.extend(
+                    TraceRow(*key, name, r, v) for r, v in enumerate(per_rep[name])
                 )
-                cells, per_rep = _run_cell(spec, cell_index)
-                for name in estimators:
-                    rows.append(
-                        TableRow(model.model_id, model.law.kind, n, nu, name, cells[name])
-                    )
-                    if with_traces:
-                        trace_rows.extend(
-                            TraceRow(model.model_id, model.law.kind, n, nu, name, r, v)
-                            for r, v in enumerate(per_rep[name])
-                        )
-                cell_index += 1
     if with_traces:
         return rows, trace_rows
     return rows
@@ -301,8 +311,6 @@ def rate_experiment(
     smoother: SmootherSpec | None = None,
     h_ref: float | None = None,
     fixed_h: float | None = None,
-    estimator: str = "DH",
-    bootstrap: int = 200,
 ) -> RateResult:
     """Log-log slope of the median ISE against N.
 
@@ -316,6 +324,8 @@ def rate_experiment(
         raise ValueError("rate experiment needs at least 3 values of N")
     n_values = sorted(int(n) for n in n_values)
     base = smoother if smoother is not None else default_table_smoother()
+    specs = [SimulationSpec(model, n, nu, ("DH",), base, replicates, seed)
+             for n in n_values]
 
     if fixed_h is None and h_ref is None:
         from .smoothing import select_bandwidth
@@ -332,16 +342,8 @@ def rate_experiment(
             h = float(fixed_h)
         else:
             h = float(h_ref) * (n / n_values[0]) ** (-0.2)
-        spec = SimulationSpec(
-            model,
-            n,
-            nu,
-            (estimator,),
-            SmootherSpec(base.kernel, base.degree, BandwidthRule.fixed(h)),
-            replicates,
-            seed,
-        )
-        per_rep = _run_cell(spec, i)[1][estimator]
+        fixed = SmootherSpec(base.kernel, base.degree, BandwidthRule.fixed(h))
+        per_rep = _run_cell(replace(specs[i], smoother=fixed), i)[0]["DH"]
         scores = [v for v in per_rep if v is not None]
         n_failed = len(per_rep) - len(scores)
         if not scores or n_failed > 0.25 * replicates:
@@ -358,8 +360,8 @@ def rate_experiment(
     slope = float(np.polyfit(log_n, np.log(np.asarray(meds)), 1)[0])
 
     rng = seed_stream(seed, 20_000)
-    boot = np.empty(bootstrap)
-    for bso in range(bootstrap):
+    boot = np.empty(200)
+    for bso in range(boot.size):
         bmeds = [
             float(np.median(rng.choice(s, size=s.size, replace=True)))
             for s in all_scores
@@ -402,32 +404,15 @@ def overpooling_experiment(
     pooled negatives then carry no signal at all).
     """
     base = smoother if smoother is not None else default_table_smoother()
-    a = model.law.quantile(0.05)
-    b = model.law.quantile(0.95)
-    grid = np.linspace(a, b, ISE_GRID_POINTS)
-    mid = 0.5 * (a + b)
+    specs = [SimulationSpec(model, n, int(nu), ("DH",), base, replicates, seed)
+             for nu in nu_values]
+    mid = 0.5 * (model.law.quantile(0.05) + model.law.quantile(0.95))
 
     rows = []
-    for i, nu in enumerate(nu_values):
-        spec = SimulationSpec(model, n, int(nu), ("DH",), base, replicates, seed)
-        scores, n_failed, n_all_pos = [], 0, 0
-        for r in range(replicates):
-            raw = sample_replicate(model, n, seed_stream(seed, i, r))
-            pooled = pool_homogeneous(raw, int(nu))
-            if float(pooled.z_star().sum()) == 0.0:
-                n_all_pos += 1
-            try:
-                est = estimate_dh(pooled, spec.smoother, grid)
-                scores.append(ise(est, model))
-            except (EstimationError, BandwidthError, ReplicateFailed):
-                n_failed += 1
-        vals = np.asarray(scores)
-        med = float(np.median(vals)) * 1e4 if vals.size else math.nan
-        iqr = (
-            float(np.quantile(vals, 0.75) - np.quantile(vals, 0.25)) * 1e4
-            if vals.size
-            else math.nan
-        )
-        lam = float((1.0 - float(model.p(mid))) ** (-nu / 5.0))
-        rows.append(OverpoolRow(int(nu), med, iqr, n_failed, n_all_pos, lam))
+    for i, spec in enumerate(specs):
+        per_rep, all_positive = _run_cell(spec, i)
+        cell = _summary(per_rep["DH"], replicates)
+        lam = float((1.0 - float(model.p(mid))) ** (-spec.nu / 5.0))
+        rows.append(OverpoolRow(spec.nu, cell.med_ise_e4, cell.iqr_ise_e4,
+                                cell.n_failed_reps, all_positive["DH"], lam))
     return rows

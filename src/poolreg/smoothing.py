@@ -379,25 +379,17 @@ def local_poly_fit(
     if not h > 0:
         raise BandwidthError("bandwidth must be positive")
 
-    attempts = 1 + (WIDEN_ATTEMPTS if widen_on_failure else 0)
-    h_used = float(h)
-    for attempt in range(attempts):
-        res = _grid_fit_1d(u, z, spec.degree, spec.kernel, h_used, np.atleast_1d(float(x)))
-        if res["flag"][0] != 2 or attempt == attempts - 1:
-            break
-        h_used *= WIDEN_FACTOR
+    res = grid_fit_with_widening(
+        u, z, spec.degree, spec.kernel, float(h), np.atleast_1d(float(x)),
+        widen_on_failure,
+    )
     flag = (FLAG_OK, FLAG_NEAR_SINGULAR, FLAG_FAILED)[int(res["flag"][0])]
     count = int(res["count"][0])
     if flag == FLAG_FAILED:
         return LocalFit(None, None, count, flag)
 
-    t = (u - float(x)) / h_used
-    w = spec.kernel.pdf(t)
-    a = res["alpha"][0]
-    poly = np.zeros_like(t)
-    for k in range(spec.degree, -1, -1):
-        poly = poly * t + a[k]
-    eff = w * poly
+    t = (u - float(x)) / res["h"][0]
+    eff = spec.kernel.pdf(t) * np.polyval(res["alpha"][0][::-1], t)
     eff = eff / eff.sum()
     return LocalFit(float(res["value"][0]), eff, count, flag)
 
@@ -415,6 +407,8 @@ def grid_fit_with_widening(
 
     A (J,) design runs the univariate fit of the given degree; a (J, d)
     design with (M, d) evaluation points runs the d-variate local linear fit.
+    A rescued point takes every entry of its retry; ``h`` holds the
+    bandwidth each point was last fitted at.
     """
     def fit(h_fit, x):
         if np.ndim(u) == 1:
@@ -422,6 +416,7 @@ def grid_fit_with_widening(
         return grid_fit_local_linear_multi(u, z, kern, h_fit, x)
 
     res = fit(h, x_eval)
+    res["h"] = np.full(res["flag"].shape[0], float(h))
     if not widen_on_failure:
         return res
     h_wide = float(h)
@@ -430,10 +425,9 @@ def grid_fit_with_widening(
         if bad.size == 0:
             break
         h_wide *= WIDEN_FACTOR
-        retry = fit(h_wide, x_eval[bad])
-        res["value"][bad] = retry["value"]
-        res["flag"][bad] = retry["flag"]
-        res["count"][bad] = retry["count"]
+        for key, val in fit(h_wide, x_eval[bad]).items():
+            res[key][bad] = val
+        res["h"][bad] = h_wide
     return res
 
 
@@ -574,8 +568,6 @@ def select_bandwidth(
     *,
     nu: int = 1,
     n_raw: int | None = None,
-    interval: tuple[float, float] | None = None,
-    cv_eval_cap: int = 800,
 ) -> float:
     """Choose a bandwidth for the design following the smoother's rule.
 
@@ -607,8 +599,7 @@ def select_bandwidth(
 
     # the plug-in only needs the CV value as a pilot scale, so it can afford
     # a cheaper scoring subset than the pure-CV mode
-    cap = cv_eval_cap if rule.mode == "cross_validation" else min(cv_eval_cap, 300)
-    eval_idx = _cv_eval_indices(u, cap)
+    eval_idx = _cv_eval_indices(u, 800 if rule.mode == "cross_validation" else 300)
     scores = np.array(
         [loo_cv_score(u, z, spec.degree, spec.kernel, h, eval_idx) for h in cands]
     )
@@ -629,8 +620,7 @@ def select_bandwidth(
     return float(
         min(
             max(
-                _plugin_bandwidth(u, z, spec, cands, h_cv, nu, n_raw, interval,
-                                  collapsed),
+                _plugin_bandwidth(u, z, spec, cands, h_cv, nu, n_raw, collapsed),
                 lo,
             ),
             hi,
@@ -638,13 +628,11 @@ def select_bandwidth(
     )
 
 
-def _plugin_bandwidth(u, z, spec, cands, h_cv, nu, n_raw, interval, collapsed=False):
-    """Minimize the integrated first-order risk of the root-transformed estimator."""
+def _plugin_bandwidth(u, z, spec, cands, h_cv, nu, n_raw, collapsed=False):
+    """Minimize the first-order risk, integrated over the design's central 90%."""
     kern = spec.kernel
     n_raw = int(n_raw) if n_raw is not None else u.shape[0] * nu
-    if interval is None:
-        interval = (float(np.quantile(u, 0.05)), float(np.quantile(u, 0.95)))
-    a, b = interval
+    a, b = float(np.quantile(u, 0.05)), float(np.quantile(u, 0.95))
     xg = np.linspace(a, b, 128)
 
     h_pilot = 1.5 * h_cv
@@ -744,8 +732,6 @@ def select_bandwidth_multi(
     z: np.ndarray,
     kern: Kernel,
     rule: BandwidthRule,
-    *,
-    cv_eval_cap: int = 400,
 ) -> float:
     """Leave-one-out CV bandwidth for the d-variate local linear smoother."""
     if rule.mode == "fixed":
@@ -763,8 +749,8 @@ def select_bandwidth_multi(
         lo = span * max((d + 2) / max(J, 1), 0.01)
         cands = np.geomspace(min(lo, span / 4.0), span / 2.0, 16)
 
-    if J > cv_eval_cap:
-        picks = np.unique(np.round(np.linspace(0, J - 1, cv_eval_cap)).astype(int))
+    if J > 400:  # score at most 400 centers per candidate
+        picks = np.unique(np.round(np.linspace(0, J - 1, 400)).astype(int))
     else:
         picks = np.arange(J)
 

@@ -349,6 +349,26 @@ class TestCli:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--N", "200", "--nu", "0"], "nu must be >= 1"),
+        (["rate", "--N", "100", "--N", "200", "--N", "400", "--nu", "0",
+          "--fixed-h", "0.2"], "nu must be >= 1"),
+        (["simulate", "--N", "200", "--nu", "-5"], "nu must be >= 1"),
+        (["simulate", "--estimator", "DH_binned", "--N", "200", "--nu", "3"],
+         "nu must divide N"),
+        (["overpool", "--N", "200", "--nu", "0"], "nu must be >= 1"),
+    ])
+    def test_bad_nu_is_a_clean_error(self, argv, message, tmp_path, caplog):
+        out = tmp_path / "o"
+        with caplog.at_level(logging.ERROR, logger="poolreg"):
+            code = main(argv + [
+                "--replicates", "2", "--seed", "1", "--bandwidth", "fixed:0.2",
+                "--out", str(out),
+            ])
+        assert code == 2
+        assert message in caplog.text
+        assert not out.exists()
+
     def test_simulate_byte_identical_reruns(self, tmp_path):
         args = [
             "simulate", "--model", "iii", "--N", "200", "--nu", "2",

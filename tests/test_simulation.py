@@ -164,6 +164,16 @@ class TestRunCell:
         with pytest.raises(ValueError, match="divide"):
             self.spec(n=301, nu=5, estimators=("DH",))
 
+    @pytest.mark.parametrize("nu, estimators", [
+        (0, ("DH",)),
+        (-5, ("DH",)),
+        (0, ("DM", "LL")),
+        (3, ("DH_binned",)),
+    ])
+    def test_bad_nu_rejected_for_pooled_estimators(self, nu, estimators):
+        with pytest.raises(ValueError, match="nu must"):
+            self.spec(n=200, nu=nu, estimators=estimators)
+
     def test_replicates_validated(self):
         with pytest.raises(ValueError, match="replicates"):
             self.spec(replicates=1)
@@ -305,3 +315,49 @@ class TestOverpoolingExperiment:
             ise_dh.append(ise(estimate_dh(pool_homogeneous(raw, 5), spec, grid), model))
             ise_ll.append(ise(estimate_ll(raw, spec, grid), model))
         assert np.median(ise_dh) <= 1.5 * np.median(ise_ll)
+
+
+class TestBadNuRejectedBeforeReplicates:
+    """Every experiment validates all its cells before sampling any replicate."""
+
+    @pytest.fixture()
+    def no_sampling(self, monkeypatch):
+        import poolreg.simulation as sim
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replicate ran before nu was validated")
+
+        monkeypatch.setattr(sim, "sample_replicate", refuse)
+
+    def test_run_table(self, no_sampling):
+        with pytest.raises(ValueError, match="nu must be >= 1"):
+            run_table(
+                [make_model("iii")], [200], [5, 0], ("DH",), replicates=2, seed=0
+            )
+
+    def test_rate_experiment(self, no_sampling):
+        with pytest.raises(ValueError, match="nu must be >= 1"):
+            rate_experiment(
+                make_model("iii"), 0, [100, 200, 400], replicates=2, seed=0,
+                fixed_h=0.2,
+            )
+
+    def test_overpooling_experiment(self, no_sampling):
+        with pytest.raises(ValueError, match="nu must be >= 1"):
+            overpooling_experiment(
+                constant_model(0.1), 200, [5, 0], replicates=2, seed=0
+            )
+
+
+def test_overpooling_rows_equal_run_cell_on_the_same_streams():
+    model = constant_model(0.1)
+    smoother = SmootherSpec(GAUSSIAN, 1, BandwidthRule.fixed(0.3))
+    rows = overpooling_experiment(
+        model, n=400, nu_values=[5, 20], replicates=5, seed=12, smoother=smoother
+    )
+    for i, row in enumerate(rows):
+        spec = SimulationSpec(model, 400, row.nu, ("DH",), smoother, 5, 12)
+        cell = run_cell(spec, cell_index=i)["DH"]
+        assert row.med_ise_e4 == cell.med_ise_e4
+        assert row.iqr_ise_e4 == cell.iqr_ise_e4
+        assert row.n_failed == cell.n_failed_reps

@@ -23,7 +23,7 @@ from poolreg import (
     select_bandwidth,
 )
 from poolreg import smoothing
-from poolreg.smoothing import _grid_fit_1d, loo_cv_score
+from poolreg.smoothing import _grid_fit_1d, grid_fit_with_widening, loo_cv_score
 
 ALL_KERNELS = [GAUSSIAN, EPANECHNIKOV, UNIFORM]
 
@@ -156,6 +156,22 @@ class TestLocalPolyFit:
         fit = local_poly_fit(design_of(u, z), spec, 1.0)
         assert fit.condition_flag == "failed"
 
+    def test_widening_rescues_a_failed_point(self):
+        # no design point lies within 0.04 of x = 0.55; at 0.08 two do
+        u = np.linspace(0.0, 1.0, 11)
+        z = np.random.default_rng(14).normal(size=11)
+        spec = SmootherSpec(EPANECHNIKOV, 1, BandwidthRule.fixed(0.04))
+        assert local_poly_fit(design_of(u, z), spec, 0.55).condition_flag == "failed"
+
+        fit = local_poly_fit(design_of(u, z), spec, 0.55, widen_on_failure=True)
+        at_wide = local_poly_fit(design_of(u, z), spec, 0.55, h=0.08)
+        assert fit.condition_flag == at_wide.condition_flag == "ok"
+        assert fit.value == at_wide.value
+        assert abs(fit.value - 0.5 * (z[5] + z[6])) < 1e-12
+        assert abs(fit.effective_weights.sum() - 1.0) < 1e-12
+        assert abs(np.dot(fit.effective_weights, z) - fit.value) < 1e-12
+        np.testing.assert_array_equal(fit.effective_weights, at_wide.effective_weights)
+
     def test_bandwidth_must_be_resolved(self):
         spec = SmootherSpec(GAUSSIAN, 1, BandwidthRule.cv())
         with pytest.raises(BandwidthError):
@@ -231,6 +247,21 @@ class TestGridFitConsistency:
         for i, x in enumerate(xs):
             fit = local_poly_fit(design_of(u, z), spec, float(x))
             assert abs(res["value"][i] - fit.value) < 1e-13
+
+    def test_widening_copies_every_key_of_the_retry(self):
+        u = np.linspace(0.0, 1.0, 11)
+        z = np.random.default_rng(15).normal(size=11)
+        # at h = 0.06 only x = 0.55 has two design points in its window
+        xs = np.array([0.55, 0.5, 0.0])
+        res = grid_fit_with_widening(u, z, 1, EPANECHNIKOV, 0.06, xs, True)
+        at_h = _grid_fit_1d(u, z, 1, EPANECHNIKOV, 0.06, xs)
+        at_wide = _grid_fit_1d(u, z, 1, EPANECHNIKOV, 0.12, xs[1:])
+        np.testing.assert_array_equal(at_h["flag"], [0, 2, 2])
+        np.testing.assert_array_equal(res["h"], [0.06, 0.12, 0.12])
+        assert set(res) == set(at_h) | {"h"}
+        for key in at_h:
+            np.testing.assert_array_equal(res[key][0], at_h[key][0])
+            np.testing.assert_array_equal(res[key][1:], at_wide[key])
 
 
     def test_tiny_bandwidth_fails_without_overflow_warning(self):

@@ -2,8 +2,14 @@
 
 Option precedence is CLI flag > config-file value > built-in default.  The
 config file (``--config``) is a flat JSON object keyed by long option names
-with underscores.  All randomness flows from ``--seed``; the commands that
-draw random numbers refuse to run without one.
+with ``_`` for ``-`` (``N``, ``fixed_h``, ``widen_on_failure``).  Its values
+are parsed by the command's own parser, so they get the flags' types and
+choices: a list stands for a repeated flag, ``true`` for a bare switch, and
+``false`` or ``null`` for an absent one.  A flag replaces the config's value
+of the same option, lists included.  An unknown key or an abbreviated flag
+exits with code 2, and a repeated single-valued flag takes its last value.
+All randomness flows from ``--seed``; the commands that draw random numbers
+refuse to run without one.
 """
 
 from __future__ import annotations
@@ -11,8 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,36 +46,35 @@ from .smoothing import BandwidthError, BandwidthRule, SmootherSpec
 
 log = logging.getLogger("poolreg")
 
-_DEFAULTS = {
+_COMMON = {
     "kernel": "gaussian",
     "degree": 1,
     "grid": "201",
-    "format": "csv,json",
+    "seed": None,
     "out": "poolreg-out",
-    "law": "uniform",
+    "format": ("csv", "json"),
 }
 
-# estimate smooths one dataset (cv default); the simulation commands use the
-# steadier plug-in rule; diagnostics demand an explicit fixed bandwidth
-_BANDWIDTH_DEFAULTS = {
-    "estimate": "cv",
-    "simulate": "plugin",
-    "rate": "plugin",
-    "overpool": "plugin",
-    "diagnostics": "cv",
+# The value of every option a command reads when neither a flag nor the config
+# sets it.  estimate smooths one dataset (cv); the simulation commands use the
+# steadier plug-in rule; diagnostics demand an explicit fixed bandwidth.
+_BUILT_IN = {
+    "estimate": {**_COMMON, "bandwidth": "cv", "input": None, "estimator": None,
+                 "nu": None, "widen_on_failure": False},
+    "simulate": {**_COMMON, "bandwidth": "plugin", "model": ["iii"], "law": "uniform",
+                 "N": [5000], "nu": [5], "estimator": ["DH"], "traces": False,
+                 "replicates": 200},
+    "rate": {**_COMMON, "bandwidth": "plugin", "model": "iii", "law": "uniform",
+             "N": [1000, 4000, 16000], "nu": 5, "fixed_h": None, "replicates": 100},
+    "overpool": {**_COMMON, "bandwidth": "plugin", "p0": 0.1, "N": 10_000,
+                 "nu": [5, 10, 20, 40], "replicates": 100},
+    "diagnostics": {**_COMMON, "bandwidth": "cv", "model": "iii", "law": "uniform",
+                    "input": None, "N": 10_000, "nu": 5},
 }
 
 
 class CliError(ValueError):
     """Bad command-line usage (missing flag, unusable combination)."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Normalized invocation: one command plus its resolved options."""
-
-    command: str
-    options: dict
 
 
 def _parse_bandwidth(text: str) -> BandwidthRule:
@@ -97,40 +102,32 @@ def _parse_grid(text: str):
             return (None, None, n)
         if len(parts) == 3:
             a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-            if n < 2 or not b > a:
+            if n < 2 or not b > a or not (math.isfinite(a) and math.isfinite(b)):
                 raise ValueError
             return (a, b, n)
     except ValueError:
         pass
-    raise CliError(f"--grid must be N or a:b:N (got {text!r})")
+    raise CliError(f"--grid must be N or a:b:N with finite a < b (got {text!r})")
 
 
 def _formats(text: str) -> tuple[str, ...]:
     fmts = tuple(f.strip() for f in text.split(",") if f.strip())
     bad = [f for f in fmts if f not in ("csv", "json")]
     if bad or not fmts:
-        raise CliError("--format takes a comma-separated subset of csv,json")
+        raise argparse.ArgumentTypeError(
+            "--format takes a comma-separated subset of csv,json")
     return fmts
 
 
 def _smoother(opt) -> SmootherSpec:
-    return SmootherSpec(kernel(opt["kernel"]), int(opt["degree"]),
+    return SmootherSpec(kernel(opt["kernel"]), opt["degree"],
                         _parse_bandwidth(opt["bandwidth"]))
 
 
-def _pick(ns: argparse.Namespace, cfg: dict, key: str):
-    val = getattr(ns, key, None)
-    if val is not None:
-        return val
-    if key in cfg:
-        return cfg[key]
-    return _DEFAULTS.get(key)
-
-
 def _require_seed(opt, what: str) -> int:
-    if opt.get("seed") is None:
+    if opt["seed"] is None:
         raise CliError(f"--seed is required for {what} (no silent nondeterminism)")
-    return int(opt["seed"])
+    return opt["seed"]
 
 
 def _sniff_pooled(path: Path) -> bool:
@@ -144,6 +141,8 @@ def _sniff_pooled(path: Path) -> bool:
 
 
 def _cmd_estimate(opt) -> int:
+    if opt["input"] is None:
+        raise CliError("--input is required")
     path = Path(opt["input"])
     if not path.exists():
         raise CliError(f"input file not found: {path}")
@@ -163,7 +162,7 @@ def _cmd_estimate(opt) -> int:
         raw = pio.ingest_individual_csv(path)
         log.info("ingested %d individual rows (d=%d)", raw.n, raw.dimension)
 
-    widen = bool(opt.get("widen_on_failure") or False)
+    widen = opt["widen_on_failure"]
     if name == "dh":
         if pooled is None:
             if raw.responses is None:
@@ -171,9 +170,9 @@ def _cmd_estimate(opt) -> int:
                     "individual input has no y column: responses are required "
                     "to pool on the fly for the DH estimator"
                 )
-            if opt.get("nu") is None:
+            if opt["nu"] is None:
                 raise CliError("--nu is required to pool individual data")
-            pooled = pool_homogeneous(raw, int(opt["nu"]))
+            pooled = pool_homogeneous(raw, opt["nu"])
         lo, hi = pooled.covariate_range()
         result = estimate_dh(pooled, spec, _grid_array(gridspec, lo, hi), widen)
     elif name == "ll":
@@ -188,10 +187,10 @@ def _cmd_estimate(opt) -> int:
                     "individual input has no y column: responses are required "
                     "to pool on the fly for the DM estimator"
                 )
-            if opt.get("nu") is None:
+            if opt["nu"] is None:
                 raise CliError("--nu is required to pool individual data")
             seed = _require_seed(opt, "random pooling")
-            pooled = pool_random(raw, int(opt["nu"]), seed)
+            pooled = pool_random(raw, opt["nu"], seed)
         lo, hi = pooled.covariate_range()
         result = estimate_dm(pooled, spec, _grid_array(gridspec, lo, hi), widen)
     elif name == "dh_binned":
@@ -202,7 +201,7 @@ def _cmd_estimate(opt) -> int:
             )
         if raw.responses is None:
             raise CliError("individual input has no y column")
-        if opt.get("nu") is None:
+        if opt["nu"] is None:
             raise CliError("--nu is required to bin individual data")
         x = raw.covariates.reshape(raw.n, raw.dimension) if raw.dimension > 1 else (
             raw.covariates[:, None]
@@ -210,7 +209,7 @@ def _cmd_estimate(opt) -> int:
         region = tuple(
             (float(x[:, k].min()), float(x[:, k].max())) for k in range(raw.dimension)
         )
-        pooled = pool_binned(raw, float(opt["nu"]), region)
+        pooled = pool_binned(raw, opt["nu"], region)
         if raw.dimension == 1:
             lo, hi = region[0]
             grid = _grid_array(gridspec, lo, hi)
@@ -235,7 +234,7 @@ def _cmd_estimate(opt) -> int:
         log.warning("clamped_points=%d of %d", n_clamped, result.p_hat.shape[0])
     if n_failed:
         log.warning("failed_points=%d of %d", n_failed, result.p_hat.shape[0])
-    files = pio.emit_results(result, opt["formats"], opt["out"],
+    files = pio.emit_results(result, opt["format"], opt["out"],
                              f"estimate_{result.estimator_tag.lower()}")
     for f in files:
         log.info("wrote %s", f)
@@ -249,30 +248,21 @@ def _grid_array(gridspec, lo, hi) -> np.ndarray:
     return np.linspace(a, b, n)
 
 
-def _models_from(opt):
-    ids = opt["model"] or ["iii"]
-    return [make_model(m, law=opt["law"]) for m in ids]
-
-
 def _cmd_simulate(opt) -> int:
     seed = _require_seed(opt, "simulate")
-    models = _models_from(opt)
-    n_values = [int(v) for v in (opt["n"] or [5000])]
-    nu_values = [int(v) for v in (opt["nu"] or [5])]
+    models = [make_model(m, law=opt["law"]) for m in opt["model"]]
     canon = {"dh": "DH", "dm": "DM", "ll": "LL", "dh_binned": "DH_binned"}
-    estimators = tuple(canon[e.lower()] for e in (opt["estimator"] or ["DH"]))
-    replicates = int(opt["replicates"] or 200)
-    with_traces = bool(opt.get("traces") or False)
+    estimators = tuple(canon[e.lower()] for e in opt["estimator"])
     result = run_table(
-        models, n_values, nu_values, estimators,
-        smoother=_smoother(opt), replicates=replicates, seed=seed,
-        with_traces=with_traces,
+        models, opt["N"], opt["nu"], estimators,
+        smoother=_smoother(opt), replicates=opt["replicates"], seed=seed,
+        with_traces=opt["traces"],
     )
-    rows, trace_rows = result if with_traces else (result, None)
+    rows, trace_rows = result if opt["traces"] else (result, None)
     excluded = sum(r.cell.n_failed_reps for r in rows)
     if excluded:
         log.warning("excluded_replicates=%d across %d cells", excluded, len(rows))
-    for f in pio.emit_results(rows, opt["formats"], opt["out"], "table"):
+    for f in pio.emit_results(rows, opt["format"], opt["out"], "table"):
         log.info("wrote %s", f)
     if trace_rows is not None:
         outdir = Path(opt["out"])
@@ -284,66 +274,56 @@ def _cmd_simulate(opt) -> int:
 
 def _cmd_rate(opt) -> int:
     seed = _require_seed(opt, "rate")
-    model = make_model((opt["model"] or ["iii"])[0], law=opt["law"])
-    n_values = [int(v) for v in (opt["n"] or [1000, 4000, 16000])]
-    nu = int(opt["nu"][0]) if opt["nu"] else 5
     res = rate_experiment(
-        model, nu, n_values,
-        replicates=int(opt["replicates"] or 100), seed=seed,
+        make_model(opt["model"], law=opt["law"]), opt["nu"], opt["N"],
+        replicates=opt["replicates"], seed=seed,
         smoother=_smoother(opt),
-        fixed_h=opt.get("fixed_h"),
+        fixed_h=opt["fixed_h"],
     )
     log.info("slope=%.4f band=[%.4f, %.4f]", res.slope, *res.slope_band)
-    for f in pio.emit_results(res, opt["formats"], opt["out"], "rate"):
+    for f in pio.emit_results(res, opt["format"], opt["out"], "rate"):
         log.info("wrote %s", f)
     return 0
 
 
 def _cmd_overpool(opt) -> int:
     seed = _require_seed(opt, "overpool")
-    p0 = float(opt["p0"] if opt.get("p0") is not None else 0.1)
-    model = constant_model(p0)
-    nu_values = [int(v) for v in (opt["nu"] or [5, 10, 20, 40])]
-    n = int((opt["n"] or [10_000])[0])
     rows = overpooling_experiment(
-        model, n, nu_values,
-        replicates=int(opt["replicates"] or 100), seed=seed,
+        constant_model(opt["p0"]), opt["N"], opt["nu"],
+        replicates=opt["replicates"], seed=seed,
         smoother=_smoother(opt),
     )
-    for f in pio.emit_results(rows, opt["formats"], opt["out"], "overpool"):
+    for f in pio.emit_results(rows, opt["format"], opt["out"], "overpool"):
         log.info("wrote %s", f)
     return 0
 
 
 def _cmd_diagnostics(opt) -> int:
-    rule = _parse_bandwidth(opt["bandwidth"])
-    if rule.mode != "fixed":
+    spec = _smoother(opt)
+    if spec.bandwidth.mode != "fixed":
         raise CliError("diagnostics evaluate the error formulas at a concrete "
                        "bandwidth; pass --bandwidth fixed:H")
-    h = float(rule.h)
-    nu = int(opt["nu"][0]) if opt["nu"] else 5
+    h = float(spec.bandwidth.h)
     gridspec = _parse_grid(opt["grid"])
-    spec = _smoother({**opt, "bandwidth": f"fixed:{h}"})
 
-    if opt.get("input"):
+    if opt["input"] is not None:
         path = Path(opt["input"])
         if not path.exists():
             raise CliError(f"input file not found: {path}")
         raw = pio.ingest_individual_csv(path)
         if raw.responses is None:
             raise CliError("data-mode diagnostics need a y column")
-        pooled = pool_homogeneous(raw, nu)
+        pooled = pool_homogeneous(raw, opt["nu"])
         lo = float(np.quantile(raw.covariates, 0.05))
         hi = float(np.quantile(raw.covariates, 0.95))
         diag = data_mode_diagnostics(pooled, spec, h, _grid_array(gridspec, lo, hi))
     else:
-        model = make_model((opt["model"] or ["iii"])[0], law=opt["law"])
-        n = int((opt["n"] or [10_000])[0])
+        model = make_model(opt["model"], law=opt["law"])
         lo, hi = model.quantile_band()
         diag = asymptotic_diagnostics(
-            model, spec, nu, n, h, _grid_array(gridspec, lo, hi)
+            model, spec, opt["nu"], opt["N"], h, _grid_array(gridspec, lo, hi)
         )
-    for f in pio.emit_results(diag, opt["formats"], opt["out"], "diagnostics"):
+    for f in pio.emit_results(diag, opt["format"], opt["out"], "diagnostics"):
         log.info("wrote %s", f)
     return 0
 
@@ -356,89 +336,98 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="poolreg",
         description="Prevalence curves from group-tested (pooled) samples",
+        argument_default=argparse.SUPPRESS,
+        allow_abbrev=False,
     )
     parser.add_argument("--config", help="JSON file with default option values")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, replicated=False):
+    def command(name, help, replicated=False):
+        # an option the command line leaves out stays absent, so that the
+        # config file and _BUILT_IN can fill it in
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS,
+                           allow_abbrev=False)
         p.add_argument("--kernel", choices=["gaussian", "epanechnikov", "uniform"])
         p.add_argument("--degree", type=int)
         p.add_argument("--bandwidth", help="fixed:H | cv | plugin")
         p.add_argument("--grid", help="N | a:b:N")
         p.add_argument("--seed", type=int)
         p.add_argument("--out", help="output directory")
-        p.add_argument("--format", dest="format", help="csv,json subset")
+        p.add_argument("--format", type=_formats, help="csv,json subset")
         if replicated:
             p.add_argument("--replicates", type=int)
+        return p
 
-    p_est = sub.add_parser("estimate", help="estimate a prevalence curve from a file")
-    p_est.add_argument("--input", required=True)
+    p_est = command("estimate", "estimate a prevalence curve from a file")
+    p_est.add_argument("--input")
     p_est.add_argument("--estimator", help="dh | dm | ll | dh_binned")
     p_est.add_argument("--nu", type=float)
-    p_est.add_argument("--widen-on-failure", dest="widen_on_failure",
-                       action="store_true", default=None,
+    p_est.add_argument("--widen-on-failure", action="store_true",
                        help="retry failed grid points with doubled bandwidths")
-    common(p_est)
 
-    p_sim = sub.add_parser("simulate", help="Monte Carlo summary table")
+    p_sim = command("simulate", "Monte Carlo summary table", replicated=True)
     p_sim.add_argument("--model", action="append", choices=["i", "ii", "iii", "iv"])
     p_sim.add_argument("--law", choices=["uniform", "normal"])
-    p_sim.add_argument("--N", dest="n", action="append", type=int)
+    p_sim.add_argument("--N", action="append", type=int)
     p_sim.add_argument("--nu", action="append", type=int)
     p_sim.add_argument("--estimator", action="append",
                        choices=["DH", "DM", "LL", "DH_binned", "dh", "dm", "ll",
                                 "dh_binned"])
-    p_sim.add_argument("--traces", action="store_true", default=None,
+    p_sim.add_argument("--traces", action="store_true",
                        help="also write per-replicate ISE values for audit")
-    common(p_sim, replicated=True)
 
-    p_rate = sub.add_parser("rate", help="convergence-rate experiment")
-    p_rate.add_argument("--model", action="append", choices=["i", "ii", "iii", "iv"])
+    p_rate = command("rate", "convergence-rate experiment", replicated=True)
+    p_rate.add_argument("--model", choices=["i", "ii", "iii", "iv"])
     p_rate.add_argument("--law", choices=["uniform", "normal"])
-    p_rate.add_argument("--N", dest="n", action="append", type=int)
-    p_rate.add_argument("--nu", action="append", type=int)
-    p_rate.add_argument("--fixed-h", dest="fixed_h", type=float)
-    common(p_rate, replicated=True)
+    p_rate.add_argument("--N", action="append", type=int)
+    p_rate.add_argument("--nu", type=int)
+    p_rate.add_argument("--fixed-h", type=float)
 
-    p_over = sub.add_parser("overpool", help="over-pooling degradation experiment")
+    p_over = command("overpool", "over-pooling degradation experiment",
+                     replicated=True)
     p_over.add_argument("--p0", type=float, help="flat prevalence level")
-    p_over.add_argument("--N", dest="n", action="append", type=int)
+    p_over.add_argument("--N", type=int)
     p_over.add_argument("--nu", action="append", type=int)
-    common(p_over, replicated=True)
 
-    p_diag = sub.add_parser("diagnostics", help="asymptotic error diagnostics")
-    p_diag.add_argument("--model", action="append", choices=["i", "ii", "iii", "iv"])
+    p_diag = command("diagnostics", "asymptotic error diagnostics")
+    p_diag.add_argument("--model", choices=["i", "ii", "iii", "iv"])
     p_diag.add_argument("--law", choices=["uniform", "normal"])
     p_diag.add_argument("--input", help="individual CSV for data-mode diagnostics")
-    p_diag.add_argument("--N", dest="n", action="append", type=int)
-    p_diag.add_argument("--nu", action="append", type=int)
-    common(p_diag)
+    p_diag.add_argument("--N", type=int)
+    p_diag.add_argument("--nu", type=int)
 
     return parser
 
 
-def _resolve_options(ns: argparse.Namespace) -> RunConfig:
-    cfg = {}
-    if ns.config:
-        cfg_path = Path(ns.config)
-        if not cfg_path.exists():
-            raise CliError(f"config file not found: {cfg_path}")
-        cfg = json.loads(cfg_path.read_text())
-        if not isinstance(cfg, dict):
-            raise CliError("config file must hold a JSON object")
+def _config_options(parser, command: str, path: str) -> dict:
+    """The options a config file sets, parsed as flags by the command's parser."""
+    cfg = json.loads(Path(path).read_text())
+    if not isinstance(cfg, dict):
+        raise CliError("config file must hold a JSON object")
+    tokens = []
+    for key, value in cfg.items():
+        flag = "--" + key.replace("_", "-")
+        for v in value if isinstance(value, list) else [value]:
+            if v is True:
+                tokens.append(flag)
+            elif v is not False and v is not None:
+                tokens.append(f"{flag}={v}")
+    ns, unknown = parser.parse_known_args([command, *tokens])
+    if unknown:
+        keys = sorted({t[2:].split("=", 1)[0].replace("-", "_") for t in unknown})
+        raise CliError(f"unknown config key(s) for {command}: {', '.join(keys)}")
+    del ns.command
+    return vars(ns)
 
-    opt = {}
-    for key in vars(ns):
-        if key in ("config", "command"):
-            continue
-        opt[key] = _pick(ns, cfg, key)
-    for key in ("kernel", "degree", "grid", "out", "law"):
-        if opt.get(key) is None:
-            opt[key] = _DEFAULTS[key]
-    if opt.get("bandwidth") is None:
-        opt["bandwidth"] = _BANDWIDTH_DEFAULTS[ns.command]
-    opt["formats"] = _formats(opt.get("format") or _DEFAULTS["format"])
-    return RunConfig(ns.command, opt)
+
+def _resolve_options(argv) -> tuple[str, dict]:
+    """The command and its options: built-in, then config file, then flags."""
+    parser = build_parser()
+    flags = vars(parser.parse_args(argv))
+    command = flags.pop("command")
+    from_config = (_config_options(parser, command, flags.pop("config"))
+                   if "config" in flags else {})
+    return command, {**_BUILT_IN[command], **from_config, **flags}
 
 
 _COMMANDS = {
@@ -454,11 +443,9 @@ def main(argv=None) -> int:
     logging.basicConfig(
         stream=sys.stderr, level=logging.INFO, format="poolreg: %(levelname)s %(message)s"
     )
-    parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
-        run = _resolve_options(ns)
-        return _COMMANDS[run.command](run.options)
+        command, opt = _resolve_options(argv)
+        return _COMMANDS[command](opt)
     except (CliError, BandwidthError, EstimationError, PoolingError,
             pio.DataFormatError, ExperimentError, ValueError) as exc:
         log.error("%s", exc)

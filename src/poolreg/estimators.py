@@ -98,6 +98,8 @@ def _clamp_unit(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_grid_range(grid: np.ndarray, lo: float, hi: float) -> None:
+    if not np.isfinite(grid).all():
+        raise EstimationError("grid points must be finite")
     if grid.size and (grid.min() < lo or grid.max() > hi):
         raise EstimationError(
             f"grid must lie inside the covariate range [{lo:.6g}, {hi:.6g}]"
@@ -332,6 +334,8 @@ def asymptotic_diagnostics(
     x,
 ) -> AsymptoticDiagnostics:
     """Evaluate the error formulas at x for a model with known p, p', p'', f."""
+    if nu < 1 or n < 1:
+        raise EstimationError(f"diagnostics need nu >= 1 and N >= 1 (got {nu}, {n})")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     p = np.asarray(model.p(x), dtype=float)
     p1 = np.asarray(model.p_prime(x), dtype=float)

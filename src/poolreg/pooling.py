@@ -195,6 +195,15 @@ def _equal_pools(raw: RawDataset, order: np.ndarray, nu: int, strategy: str):
     return PooledDataset(x, sizes, _pool_means(x, sizes), y_star, strategy, nu, 1)
 
 
+def _group_size(nu) -> int:
+    """nu as the whole number of members in every equal pool."""
+    if not float(nu).is_integer():
+        raise PoolingError(f"group size nu must be a whole number (got {nu})")
+    if nu < 1:
+        raise PoolingError("group size nu must be >= 1")
+    return int(nu)
+
+
 def pool_homogeneous(raw: RawDataset, nu: int) -> PooledDataset:
     """Partition the sorted sample into contiguous groups of nu each.
 
@@ -205,9 +214,7 @@ def pool_homogeneous(raw: RawDataset, nu: int) -> PooledDataset:
     """
     if raw.dimension != 1:
         raise PoolingError("homogeneous pooling is univariate; use pool_binned")
-    nu = int(nu)
-    if nu < 1:
-        raise PoolingError("group size nu must be >= 1")
+    nu = _group_size(nu)
     if raw.n % nu != 0:
         raise PoolingError(
             f"nu={nu} does not divide N={raw.n}; use pool_binned, which "
@@ -223,9 +230,7 @@ def pool_random(
     """Uniformly random partition into N/nu groups of nu, via seeded shuffle."""
     if raw.dimension != 1:
         raise PoolingError("random pooling is univariate; use pool_binned")
-    nu = int(nu)
-    if nu < 1:
-        raise PoolingError("group size nu must be >= 1")
+    nu = _group_size(nu)
     if raw.n % nu != 0:
         raise PoolingError(f"nu={nu} does not divide N={raw.n}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

@@ -79,11 +79,10 @@ class SimulationSpec:
         bad = [e for e in self.estimators if e not in ESTIMATOR_NAMES]
         if bad:
             raise ValueError(f"unknown estimators {bad}; choose from {ESTIMATOR_NAMES}")
-        if any(e != "LL" for e in self.estimators):
-            if self.nu < 1:
-                raise ValueError("nu must be >= 1 for the pooled estimators")
-            if self.n % self.nu != 0:
-                raise ValueError("nu must divide N for the pooled estimators")
+        if self.nu < 1:
+            raise ValueError("nu must be >= 1")
+        if any(e != "LL" for e in self.estimators) and self.n % self.nu != 0:
+            raise ValueError("nu must divide N for the pooled estimators")
 
 
 @dataclass(frozen=True)

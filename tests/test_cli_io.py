@@ -357,6 +357,7 @@ class TestCli:
         (["simulate", "--estimator", "DH_binned", "--N", "200", "--nu", "3"],
          "nu must divide N"),
         (["overpool", "--N", "200", "--nu", "0"], "nu must be >= 1"),
+        (["simulate", "--estimator", "LL", "--N", "200", "--nu", "0"], "nu must be >= 1"),
     ])
     def test_bad_nu_is_a_clean_error(self, argv, message, tmp_path, caplog):
         out = tmp_path / "o"
@@ -365,6 +366,25 @@ class TestCli:
                 "--replicates", "2", "--seed", "1", "--bandwidth", "fixed:0.2",
                 "--out", str(out),
             ])
+        assert code == 2
+        assert message in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["estimate", "--input", "DATA", "--estimator", "dh", "--nu", "2.5"],
+         "whole number"),
+        (["estimate", "--input", "DATA", "--estimator", "dh", "--nu", "5",
+          "--grid", "0:inf:3"], "--grid must be"),
+        (["estimate", "--estimator", "dh", "--nu", "5"], "--input is required"),
+        (["diagnostics", "--nu", "0"], "nu >= 1 and N >= 1"),
+        (["diagnostics", "--N", "0"], "nu >= 1 and N >= 1"),
+    ])
+    def test_bad_option_value_is_a_clean_error(self, argv, message, data_csv,
+                                               tmp_path, caplog):
+        out = tmp_path / "o"
+        argv = [str(data_csv) if a == "DATA" else a for a in argv]
+        with caplog.at_level(logging.ERROR, logger="poolreg"):
+            code = main(argv + ["--bandwidth", "fixed:0.2", "--out", str(out)])
         assert code == 2
         assert message in caplog.text
         assert not out.exists()
@@ -502,3 +522,119 @@ class TestCli:
             "--bandwidth", "fixed:0.3", "--out", str(tmp_path / "o"),
         ])
         assert code == 2  # error directs the caller to the binned estimator
+
+
+def _same_options(data: str) -> dict:
+    """Each command's options, once as flags and once as config keys."""
+    return {
+        "estimate": (
+            ["--input", data, "--estimator", "dh", "--nu", "5", "--bandwidth",
+             "fixed:0.2", "--grid", "0.2:0.8:9", "--widen-on-failure", "--format",
+             "json"],
+            {"input": data, "estimator": "dh", "nu": 5, "bandwidth": "fixed:0.2",
+             "grid": "0.2:0.8:9", "widen_on_failure": True, "format": "json"},
+        ),
+        "simulate": (
+            ["--model", "iii", "--model", "i", "--N", "200", "--nu", "2",
+             "--estimator", "DH", "--estimator", "LL", "--replicates", "2",
+             "--seed", "4", "--bandwidth", "fixed:0.2", "--traces"],
+            {"model": ["iii", "i"], "N": [200], "nu": 2, "estimator": ["DH", "LL"],
+             "replicates": 2, "seed": 4, "bandwidth": "fixed:0.2", "traces": True},
+        ),
+        "rate": (
+            ["--model", "iii", "--nu", "2", "--N", "100", "--N", "200", "--N", "400",
+             "--replicates", "4", "--seed", "3", "--fixed-h", "0.25"],
+            {"model": "iii", "nu": 2, "N": [100, 200, 400], "replicates": 4,
+             "seed": 3, "fixed_h": 0.25},
+        ),
+        "overpool": (
+            ["--p0", "0.2", "--N", "400", "--nu", "2", "--nu", "4", "--replicates",
+             "3", "--seed", "5", "--bandwidth", "fixed:0.3"],
+            {"p0": 0.2, "N": 400, "nu": [2, 4], "replicates": 3, "seed": 5,
+             "bandwidth": "fixed:0.3"},
+        ),
+        "diagnostics": (
+            ["--model", "ii", "--law", "normal", "--nu", "4", "--N", "2000",
+             "--bandwidth", "fixed:0.2", "--grid", "0.1:0.9:5", "--kernel",
+             "epanechnikov", "--degree", "2"],
+            {"model": "ii", "law": "normal", "nu": 4, "N": 2000,
+             "bandwidth": "fixed:0.2", "grid": "0.1:0.9:5", "kernel": "epanechnikov",
+             "degree": 2},
+        ),
+    }
+
+
+def _outputs(outdir):
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+
+
+class TestConfigFile:
+    def run_with_config(self, tmp_path, cfg, argv):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return main(["--config", str(path), *argv])
+
+    @pytest.mark.parametrize(
+        "command", ["estimate", "simulate", "rate", "overpool", "diagnostics"]
+    )
+    def test_config_and_flags_agree(self, command, data_csv, tmp_path):
+        flags, cfg = _same_options(str(data_csv))[command]
+        by_flags, by_config = tmp_path / "flags", tmp_path / "config"
+        assert main([command, *flags, "--out", str(by_flags)]) == 0
+        assert self.run_with_config(
+            tmp_path, cfg, [command, "--out", str(by_config)]) == 0
+        assert _outputs(by_flags) and _outputs(by_flags) == _outputs(by_config)
+
+    def test_string_for_a_repeatable_option_is_one_value(self, tmp_path):
+        # the string "iii" once stood for the three models i, i, i
+        out = tmp_path / "o"
+        assert self.run_with_config(tmp_path, {"model": "iii"}, [
+            "simulate", "--N", "200", "--nu", "2", "--replicates", "2", "--seed",
+            "1", "--bandwidth", "fixed:0.2", "--out", str(out),
+        ]) == 0
+        rows = read_result(out / "table.csv", TableRow)
+        assert [r.model_id for r in rows] == ["iii"]
+
+    def test_flag_replaces_a_config_list(self, tmp_path):
+        out = tmp_path / "o"
+        assert self.run_with_config(tmp_path, {"nu": [2, 4]}, [
+            "simulate", "--N", "200", "--nu", "4", "--replicates", "2", "--seed",
+            "1", "--bandwidth", "fixed:0.2", "--out", str(out),
+        ]) == 0
+        assert [r.nu for r in read_result(out / "table.csv", TableRow)] == [4]
+
+    @pytest.mark.parametrize("key, value", [("replicate", 3), ("n", 200)])
+    def test_unknown_key_is_a_clean_error(self, key, value, tmp_path, caplog):
+        out = tmp_path / "o"
+        with caplog.at_level(logging.ERROR, logger="poolreg"):
+            code = self.run_with_config(tmp_path, {key: value}, [
+                "simulate", "--N", "200", "--nu", "2", "--replicates", "2",
+                "--seed", "1", "--bandwidth", "fixed:0.2", "--out", str(out),
+            ])
+        assert code == 2
+        assert f"unknown config key(s) for simulate: {key}" in caplog.text
+        assert not out.exists()
+
+    def test_scalar_nu_for_rate(self, tmp_path):
+        argv = ["rate", "--N", "100", "--N", "200", "--N", "400", "--replicates",
+                "4", "--seed", "3", "--fixed-h", "0.25"]
+        by_flags, by_config = tmp_path / "flags", tmp_path / "config"
+        assert main(argv + ["--nu", "2", "--out", str(by_flags)]) == 0
+        assert self.run_with_config(
+            tmp_path, {"nu": 2}, argv + ["--out", str(by_config)]) == 0
+        assert _outputs(by_flags) == _outputs(by_config)
+
+    def test_config_value_gets_the_flag_choices(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            self.run_with_config(tmp_path, {"estimator": ["DH", "xyz"]}, [
+                "simulate", "--seed", "1", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
+
+def test_abbreviated_flag_is_refused(tmp_path):
+    # --n once expanded to --nu
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--n", "200", "--replicates", "2", "--seed", "1",
+              "--bandwidth", "fixed:0.2", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()

@@ -186,6 +186,13 @@ class TestEstimateDH:
         with pytest.raises(EstimationError, match="range"):
             estimate_dh(pooled, SPECS[0], np.array([-1.0, 0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_grid_rejected(self, bad):
+        # NaN compares false with both range ends, so the range test alone lets it by
+        pooled = pool_homogeneous(synthetic_raw(6), 5)
+        with pytest.raises(EstimationError, match="finite"):
+            estimate_dh(pooled, SPECS[0], np.array([0.5, bad]))
+
     def test_scale_equivariance_of_smoother_stage(self):
         # mu-level linearity: scaling all Z* by c scales the raw smoother by c
         rng = np.random.default_rng(7)
@@ -428,6 +435,11 @@ class TestAsymptoticDiagnostics:
         assert 0.0 < diag.q <= 1.0
         np.testing.assert_allclose(diag.q, 1.0 - 1.0 / 24.0, rtol=1e-9)
         assert (diag.A >= 0).all() and (diag.A1 >= 0).all()
+
+    @pytest.mark.parametrize("nu, n", [(0, 1000), (-2, 1000), (5, 0)])
+    def test_bad_nu_or_n_rejected(self, nu, n):
+        with pytest.raises(EstimationError, match="nu >= 1 and N >= 1"):
+            asymptotic_diagnostics(make_model("iii"), SmootherSpec(), nu, n, 0.2, 0.5)
 
     def test_zero_density_rejected(self):
         model = make_model("iii")  # uniform on [0, 1]

@@ -155,6 +155,16 @@ class TestPoolRandom:
             pool_random(RawDataset([1.0, 2.0, 3.0]), 2, 0)
 
 
+@pytest.mark.parametrize("nu", [2.5, float("nan"), float("inf")])
+def test_equal_pools_need_a_whole_nu(nu):
+    # truncating 2.5 to 2 would pool in twos and report nu = 2
+    raw = RawDataset(np.arange(10.0))
+    with pytest.raises(PoolingError, match="whole number"):
+        pool_homogeneous(raw, nu)
+    with pytest.raises(PoolingError, match="whole number"):
+        pool_random(raw, nu, 0)
+
+
 class TestPoolBinned:
     def test_univariate_bin_layout(self):
         rng = np.random.default_rng(10)

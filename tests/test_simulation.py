@@ -169,6 +169,7 @@ class TestRunCell:
         (-5, ("DH",)),
         (0, ("DM", "LL")),
         (3, ("DH_binned",)),
+        (0, ("LL",)),
     ])
     def test_bad_nu_rejected_for_pooled_estimators(self, nu, estimators):
         with pytest.raises(ValueError, match="nu must"):

@@ -29,6 +29,7 @@ from .pooling import PooledDataset, RawDataset
 # the fits by name in both modules.
 from .smoothing import (  # noqa: F401
     SmootherSpec,
+    _dh_first_order,
     _grid_fit_1d,
     _normal_reference_density,
     _pilot_prevalence,
@@ -97,7 +98,7 @@ def _clamp_unit(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.clip(raw, 0.0, 1.0), flags
 
 
-def _check_grid_range(grid: np.ndarray, lo: float, hi: float) -> None:
+def _check_grid_range(grid: np.ndarray, lo=-np.inf, hi=np.inf) -> None:
     if not np.isfinite(grid).all():
         raise EstimationError("grid points must be finite")
     if grid.size and (grid.min() < lo or grid.max() > hi):
@@ -247,6 +248,7 @@ def estimate_dh_binned(
     grid_pts = grid[:, None] if (d == 1 and grid.ndim == 1) else grid
     if grid_pts.ndim != 2 or grid_pts.shape[1] != d:
         raise EstimationError(f"grid must be (M,) for d=1 or (M, {d})")
+    _check_grid_range(grid_pts)  # finite points outside the region are empty bins
 
     centers = pooled.centers()
     z = pooled.z_star()
@@ -312,12 +314,11 @@ class AsymptoticDiagnostics:
 def _diagnostic_formulas(p, p1, p2, f, kern: Kernel, nu: int, n: int, h: float, q: float):
     if (f <= 0.0).any():
         raise EstimationError("design density is zero at a requested point")
+    a_sq, big_b = _dh_first_order(p, p1, p2, f, kern, nu, n, h)
+    big_a = np.sqrt(a_sq)
     one_m_p = 1.0 - p
     b = kern.second_moment
     v = kern.l2_norm / f
-    a_sq = (one_m_p ** (2 - nu)) * (1.0 - one_m_p**nu) * v / (nu * n * h)
-    big_a = np.sqrt(a_sq)
-    big_b = 0.5 * h * h * (p2 - (nu - 1) * p1**2 / one_m_p) * b
     a1_sq = one_m_p * q ** (1 - nu) * (1.0 - one_m_p * q ** (nu - 1)) * v / (n * h)
     big_a1 = np.sqrt(a1_sq)
     big_b1 = 0.5 * h * h * p2 * b

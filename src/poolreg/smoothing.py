@@ -651,17 +651,24 @@ def _plugin_bandwidth(u, z, spec, cands, h_cv, nu, n_raw, collapsed=False):
 
     f_hat = np.maximum(_normal_reference_density(u, xg, kern), 1e-12)
 
-    one_m_p = 1.0 - p_pilot
-    v = kern.l2_norm / f_hat
-    var_profile = one_m_p ** (2 - nu) * (1.0 - one_m_p**nu) * v
-    bias_profile = 0.5 * (p2 - (nu - 1) * p1**2 / one_m_p) * kern.second_moment
-
     risks = np.empty(cands.shape[0])
     for i, h in enumerate(cands):
-        a2 = var_profile / (nu * n_raw * h)
-        b2 = (bias_profile * h * h) ** 2
-        risks[i] = np.trapezoid(a2 + b2, xg)
+        a_sq, bias = _dh_first_order(p_pilot, p1, p2, f_hat, kern, nu, n_raw, h)
+        risks[i] = np.trapezoid(a_sq + bias**2, xg)
     return float(cands[int(np.argmin(risks))])
+
+
+def _dh_first_order(p, p1, p2, f, kern: Kernel, nu, n, h):
+    """First-order variance A**2 and bias B of the DH estimate at each point.
+
+    p, p1 and p2 are the prevalence curve and its first two derivatives, f
+    the design density, n the number of individuals and nu the group size.
+    """
+    one_m_p = 1.0 - p
+    v = kern.l2_norm / f
+    a_sq = (one_m_p ** (2 - nu)) * (1.0 - one_m_p**nu) * v / (nu * n * h)
+    bias = 0.5 * h * h * (p2 - (nu - 1) * p1**2 / one_m_p) * kern.second_moment
+    return a_sq, bias
 
 
 def _pilot_prevalence(mu_raw: np.ndarray, nu) -> np.ndarray:

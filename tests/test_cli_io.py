@@ -2,6 +2,8 @@
 
 import json
 import logging
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from poolreg import (
     sample_replicate,
     seed_stream,
 )
-from poolreg.cli import main
+from poolreg.cli import build_parser, main
 from poolreg.io import (
     DataFormatError,
     emit_results,
@@ -260,6 +262,23 @@ def data_csv(tmp_path):
     return write_individual_csv(raw, tmp_path / "data.csv")
 
 
+@pytest.fixture()
+def inputs(data_csv, tmp_path):
+    """Input files by placeholder: individual, pooled, no y column, bivariate."""
+    raw = sample_replicate(make_model("iii"), 300, seed_stream(21))
+    rng = np.random.default_rng(4)
+    x2 = rng.uniform(size=(400, 2))
+    biv = "x,x2,y\n" + "".join(f"{a},{b},{int(a > b)}\n" for a, b in x2)
+    (tmp_path / "noy.csv").write_text("x\n0.1\n0.5\n0.9\n0.7\n")
+    (tmp_path / "biv.csv").write_text(biv)
+    return {
+        "DATA": str(data_csv),
+        "POOLED": str(write_pooled_csv(pool_homogeneous(raw, 5), tmp_path / "p.csv")),
+        "NOY": str(tmp_path / "noy.csv"),
+        "BIV": str(tmp_path / "biv.csv"),
+    }
+
+
 class TestCli:
     def test_estimate_dh_succeeds(self, data_csv, tmp_path):
         out = tmp_path / "out"
@@ -378,11 +397,30 @@ class TestCli:
         (["estimate", "--estimator", "dh", "--nu", "5"], "--input is required"),
         (["diagnostics", "--nu", "0"], "nu >= 1 and N >= 1"),
         (["diagnostics", "--N", "0"], "nu >= 1 and N >= 1"),
+        (["estimate", "--input", "POOLED", "--estimator", "ll"],
+         "the LL estimator needs individual-level input"),
+        (["estimate", "--input", "POOLED", "--estimator", "dh_binned", "--nu", "4"],
+         "the DH_binned estimator needs individual-level input"),
+        (["estimate", "--input", "NOY", "--estimator", "dh", "--nu", "2"],
+         "no y column"),
+        (["estimate", "--input", "NOY", "--estimator", "dm", "--nu", "2", "--seed",
+          "1"], "no y column"),
+        (["estimate", "--input", "NOY", "--estimator", "dh_binned", "--nu", "2"],
+         "no y column"),
+        (["estimate", "--input", "DATA", "--estimator", "dh"], "--nu is required"),
+        (["estimate", "--input", "DATA", "--estimator", "dm", "--seed", "1"],
+         "--nu is required"),
+        (["estimate", "--input", "DATA", "--estimator", "dh_binned"],
+         "--nu is required"),
+        (["estimate", "--input", "DATA", "--estimator", "dm", "--nu", "5"],
+         "--seed is required"),
+        (["estimate", "--input", "BIV", "--estimator", "dh_binned", "--nu", "4",
+          "--grid", "0.1:0.9:5"], "a:b:N grids are univariate"),
     ])
-    def test_bad_option_value_is_a_clean_error(self, argv, message, data_csv,
+    def test_bad_option_value_is_a_clean_error(self, argv, message, inputs,
                                                tmp_path, caplog):
         out = tmp_path / "o"
-        argv = [str(data_csv) if a == "DATA" else a for a in argv]
+        argv = [inputs.get(a, a) for a in argv]
         with caplog.at_level(logging.ERROR, logger="poolreg"):
             code = main(argv + ["--bandwidth", "fixed:0.2", "--out", str(out)])
         assert code == 2
@@ -629,6 +667,55 @@ class TestConfigFile:
             self.run_with_config(tmp_path, {"estimator": ["DH", "xyz"]}, [
                 "simulate", "--seed", "1", "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("spelling, name", [("DH_binned", "DH_binned"), ("Dh", "DH")])
+def test_estimator_names_are_case_insensitive(spelling, name, data_csv, tmp_path):
+    est = ["estimate", "--input", str(data_csv), "--nu", "4",
+           "--bandwidth", "fixed:0.2"]
+    assert main([*est, "--estimator", name.lower(), "--out", str(tmp_path / "a")]) == 0
+    assert main([*est, "--estimator", spelling, "--out", str(tmp_path / "b")]) == 0
+    assert _outputs(tmp_path / "b") == _outputs(tmp_path / "a")
+    assert (tmp_path / "b" / f"estimate_{name.lower()}.csv").exists()
+
+    sim = ["simulate", "--N", "200", "--nu", "4", "--replicates", "2", "--seed", "1",
+           "--bandwidth", "fixed:0.2", "--out", str(tmp_path / "s")]
+    assert main([*sim, "--estimator", spelling]) == 0
+    rows = read_result(tmp_path / "s" / "table.csv", TableRow)
+    assert [r.estimator for r in rows] == [name]
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("simulate", "grid", "junk"),
+    ("rate", "grid", "0:1:5"),
+    ("overpool", "grid", "11"),
+    ("diagnostics", "seed", "1"),
+])
+def test_option_a_command_does_not_read_is_refused(command, option, value, tmp_path,
+                                                    caplog):
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"--{option}", value, "--out", str(out)])
+    assert exc.value.code == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({option: value}))
+    with caplog.at_level(logging.ERROR, logger="poolreg"):
+        assert main(["--config", str(cfg), command, "--out", str(out)]) == 2
+    assert f"unknown config key(s) for {command}: {option}" in caplog.text
+    assert not out.exists()
+
+
+def test_readme_commands_parse():
+    # every `poolreg ...` command in README's "Command line" block, as argv
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("poolreg ")]
+    assert {argv[0] for argv in commands} == {
+        "estimate", "simulate", "rate", "overpool", "diagnostics"}
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def test_abbreviated_flag_is_refused(tmp_path):

@@ -328,6 +328,19 @@ class TestEstimateDHBinned:
         expected = 1.0 - np.clip(est.mu_hat[ok], 0.0, 1.0) ** (1.0 / m[ok])
         np.testing.assert_allclose(est.p_hat[ok], expected, atol=1e-14)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_grid_rejected(self):
+        pooled = pool_binned(synthetic_raw(6, n=400), 4.0)
+        with pytest.raises(EstimationError, match="grid points must be finite"):
+            estimate_dh_binned(pooled, SPECS[0], np.array([0.5, np.nan, np.inf, 5.0]))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_finite_grid_point_outside_the_region_is_an_empty_bin(self):
+        pooled = pool_binned(synthetic_raw(6, n=400), 4.0)
+        est = estimate_dh_binned(pooled, SPECS[0], np.array([0.5, 5.0]))
+        assert est.failures.tolist() == [0, FAIL_EMPTY_BIN]
+        assert np.isnan(est.p_hat[1])
+
     def test_needs_enough_nonempty_bins(self):
         x = np.array([0.1, 0.2, 0.3, 0.6])
         pooled = pool_binned(RawDataset(x, np.zeros(4, dtype=int)), 1.0)

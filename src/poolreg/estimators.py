@@ -107,6 +107,17 @@ def _check_grid_range(grid: np.ndarray, lo=-np.inf, hi=np.inf) -> None:
         )
 
 
+def _equal_group_size(pooled: PooledDataset) -> int:
+    """The group size nu shared by every pool; unequal pools raise."""
+    sizes = pooled.sizes()
+    if not (sizes == sizes[0]).all():
+        raise EstimationError(
+            f"group size varies across pools ({sizes.min()} to {sizes.max()}); "
+            "this estimator needs equal pools, estimate_dh_binned takes unequal ones"
+        )
+    return int(sizes[0])
+
+
 def estimate_dh(
     pooled: PooledDataset, spec: SmootherSpec, grid, widen_on_failure: bool = False
 ) -> EstimateResult:
@@ -128,19 +139,14 @@ def estimate_dh(
             "estimate_dh needs homogeneously sorted pools "
             f"(got strategy {pooled.strategy!r})"
         )
-    sizes = pooled.sizes()
-    if not (sizes == sizes[0]).all():
-        raise EstimationError(
-            "group size varies across pools; use estimate_dh_binned"
-        )
-    nu = int(sizes[0])
+    nu = _equal_group_size(pooled)
     grid = np.asarray(grid, dtype=float)
     _check_grid_range(grid, *pooled.covariate_range())
 
     u = pooled.centers()
     z = pooled.z_star()
     design = np.column_stack([u, z])
-    h = resolve_bandwidth(design, spec, nu=nu, n_raw=int(sizes.sum()))
+    h = resolve_bandwidth(design, spec, nu=nu, n_raw=int(pooled.sizes().sum()))
 
     res = grid_fit_with_widening(
         u, z, spec.degree, spec.kernel, h, grid, widen_on_failure
@@ -194,10 +200,7 @@ def estimate_dm(
             "estimate_dm needs randomly formed pools "
             f"(got strategy {pooled.strategy!r})"
         )
-    sizes = pooled.sizes()
-    if not (sizes == sizes[0]).all():
-        raise EstimationError("estimate_dm needs a constant group size")
-    nu = int(sizes[0])
+    nu = _equal_group_size(pooled)
 
     z_star = pooled.z_star()
     grid = np.asarray(grid, dtype=float)
@@ -212,7 +215,7 @@ def estimate_dm(
 
     order = np.argsort(pooled.member_covariates, kind="stable")
     u = pooled.member_covariates[order]
-    ys = np.repeat(pooled.y_star, sizes)[order].astype(float)
+    ys = np.repeat(pooled.y_star, pooled.sizes())[order].astype(float)
     design = np.column_stack([u, 1.0 - ys])
     h = resolve_bandwidth(design, spec, nu=1, n_raw=u.shape[0])
 
@@ -233,9 +236,14 @@ def estimate_dh_binned(
 
     The inversion exponent at x is 1/m(x), the occupancy of the bin holding
     x; grid points in empty bins are reported missing rather than fitted.
+    The fit is local linear only, so ``spec.degree`` must be 1.
     """
     if pooled.strategy != "binned" or pooled.bin_geometry is None:
         raise EstimationError("estimate_dh_binned needs binned pooling")
+    if spec.degree != 1:
+        raise EstimationError(
+            f"estimate_dh_binned is local linear: it needs degree 1, got {spec.degree}"
+        )
     geom = pooled.bin_geometry
     d = pooled.dimension
     n_bins = pooled.n_groups
@@ -256,8 +264,7 @@ def estimate_dh_binned(
 
     if d == 1:
         design = np.column_stack([centers, z])
-        spec1 = SmootherSpec(spec.kernel, 1, spec.bandwidth)
-        h = resolve_bandwidth(design, spec1, nu=max(int(round(pooled.nu)), 1),
+        h = resolve_bandwidth(design, spec, nu=max(int(round(pooled.nu)), 1),
                               n_raw=int(geom.counts.sum()))
         res = grid_fit_with_widening(
             centers, z, 1, spec.kernel, h, grid_pts[:, 0], widen_on_failure
@@ -363,7 +370,7 @@ def data_mode_diagnostics(
     """
     if pooled.strategy != "homogeneous_sorted":
         raise EstimationError("data-mode diagnostics need homogeneous pools")
-    nu = int(pooled.sizes()[0])
+    nu = _equal_group_size(pooled)
     n = pooled.member_covariates.shape[0]
     x = np.atleast_1d(np.asarray(x, dtype=float))
 

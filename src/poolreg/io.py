@@ -1,8 +1,11 @@
 """CSV/JSON codecs for datasets and result files.
 
 All numbers are serialized with 17 significant digits so that every emitted
-file re-ingests to the exact in-memory values.  Individual and pooled data
-have their own row-by-row codecs.  Result files go through one codec,
+file re-ingests to the exact in-memory values.  Every CSV file is read by one
+row reader (``_read_rows``: blank rows are skipped, every other row must be
+as wide as the header) and written by one row writer (``_write_rows``); the
+individual and pooled codecs and the result codec add only their header
+checks and cell parsing.  Result files go through one codec,
 ``write_result`` / ``read_result``, driven by a per-type spec (``_SPECS``):
 the file suffix picks CSV or JSON, CSV column orders are fixed and JSON
 payloads carry a schema tag.
@@ -68,28 +71,27 @@ def _parse_float(text: str, row: int, col: str, path, *, finite: bool = True) ->
     return val
 
 
-# ---------------------------------------------------------------------------
-# individual-level data
+def _parse_binary(text: str, row: int, col: str, path) -> int:
+    """Parse one test-result cell: an individual's ``y`` or a ``group_result``."""
+    val = text.strip()
+    if val not in ("0", "1"):
+        raise _bad(path, row, col, "test result must be 0 or 1", val)
+    return int(val)
 
 
-def ingest_individual_csv(path) -> RawDataset:
-    """Read individual rows with header ``x[,x2,...][,y]``."""
-    path = Path(path)
+def _read_rows(path: Path):
+    """Yield a CSV file's stripped header, then ``(row number, cells)`` per row.
+
+    Blank rows are skipped; every other row must be as wide as the header.
+    Row numbers count the header as row 1.
+    """
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
+        header = next(reader, None)
+        if header is None:
+            raise DataFormatError(f"{path}: empty file")
         header = [h.strip() for h in header]
-        has_y = header[-1] == "y"
-        x_cols = header[:-1] if has_y else header
-        expected = ["x"] + [f"x{i}" for i in range(2, len(x_cols) + 1)]
-        if x_cols != expected:
-            raise DataFormatError(
-                f"{path}: covariate header must be {expected}, got {x_cols}"
-            )
-        xs, ys = [], []
+        yield header
         for i, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -97,16 +99,39 @@ def ingest_individual_csv(path) -> RawDataset:
                 raise DataFormatError(
                     f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
                 )
-            xs.append([_parse_float(c, i, x_cols[j], path) for j, c in
-                       enumerate(row[: len(x_cols)])])
-            if has_y:
-                val = row[-1].strip()
-                if val not in ("0", "1"):
-                    raise DataFormatError(
-                        f"{path}: response at row {i}, column 'y' must be 0 or 1, "
-                        f"got {val!r}"
-                    )
-                ys.append(int(val))
+            yield i, row
+
+
+def _write_rows(path: Path, header: list[str], rows) -> Path:
+    """Write a header line and then one line per row of cells."""
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+# ---------------------------------------------------------------------------
+# individual-level data
+
+
+def ingest_individual_csv(path) -> RawDataset:
+    """Read individual rows with header ``x[,x2,...][,y]``."""
+    path = Path(path)
+    rows = _read_rows(path)
+    header = next(rows)
+    has_y = header[-1:] == ["y"]
+    x_cols = header[:-1] if has_y else header
+    expected = ["x"] + [f"x{i}" for i in range(2, len(x_cols) + 1)]
+    if x_cols != expected:
+        raise DataFormatError(
+            f"{path}: covariate header must be {expected}, got {x_cols}"
+        )
+    xs, ys = [], []
+    for i, row in rows:
+        xs.append([_parse_float(c, i, col, path) for c, col in zip(row, x_cols)])
+        if has_y:
+            ys.append(_parse_binary(row[-1], i, "y", path))
     if not xs:
         raise DataFormatError(f"{path}: no data rows")
     x = np.asarray(xs, dtype=float)
@@ -116,21 +141,14 @@ def ingest_individual_csv(path) -> RawDataset:
 
 
 def write_individual_csv(raw: RawDataset, path) -> Path:
-    path = Path(path)
     d = raw.dimension
     header = ["x"] + [f"x{i}" for i in range(2, d + 1)]
+    x = raw.covariates.reshape(raw.n, d)
+    rows = ([*map(_fmt, xi)] for xi in x)
     if raw.responses is not None:
         header.append("y")
-    x = raw.covariates.reshape(raw.n, d) if d > 1 else raw.covariates[:, None]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(raw.n):
-            row = [_fmt(v) for v in x[i]]
-            if raw.responses is not None:
-                row.append(str(int(raw.responses[i])))
-            writer.writerow(row)
-    return path
+        rows = ([*cells, str(int(y))] for cells, y in zip(rows, raw.responses))
+    return _write_rows(Path(path), header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -146,50 +164,33 @@ def ingest_pooled_csv(path) -> PooledDataset:
     tag is used.  Group sizes may vary.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file") from None
-        if len(header) < 3 or header[0] != "group_id" or header[-1] != "group_result":
+    rows = _read_rows(path)
+    header = next(rows)
+    if len(header) < 3 or header[0] != "group_id" or header[-1] != "group_result":
+        raise DataFormatError(
+            f"{path}: pooled header must be group_id,x1[,...,xd],group_result"
+        )
+    x_cols = header[1:-1]
+    expected = [f"x{i}" for i in range(1, len(x_cols) + 1)]
+    if x_cols != expected:
+        raise DataFormatError(
+            f"{path}: covariate columns must be {expected}, got {x_cols}"
+        )
+    results: dict[str, int] = {}
+    group_of: dict[str, int] = {}  # group number, by first appearance
+    xs: list[list[float]] = []
+    row_group: list[int] = []
+    for i, row in rows:
+        gid = row[0].strip()
+        if not gid:
+            raise DataFormatError(f"{path}: empty group_id at row {i}")
+        xs.append([_parse_float(c, i, col, path) for c, col in zip(row[1:-1], x_cols)])
+        res = _parse_binary(row[-1], i, "group_result", path)
+        if results.setdefault(gid, res) != res:
             raise DataFormatError(
-                f"{path}: pooled header must be group_id,x1[,...,xd],group_result"
+                f"{path}: inconsistent group_result within group {gid!r}"
             )
-        x_cols = header[1:-1]
-        expected = [f"x{i}" for i in range(1, len(x_cols) + 1)]
-        if x_cols != expected:
-            raise DataFormatError(
-                f"{path}: covariate columns must be {expected}, got {x_cols}"
-            )
-        results: dict[str, int] = {}
-        group_of: dict[str, int] = {}  # group number, by first appearance
-        xs: list[list[float]] = []
-        row_group: list[int] = []
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
-                )
-            gid = row[0].strip()
-            if not gid:
-                raise DataFormatError(f"{path}: empty group_id at row {i}")
-            vec = [_parse_float(c, i, x_cols[j], path)
-                   for j, c in enumerate(row[1:-1])]
-            res = row[-1].strip()
-            if res not in ("0", "1"):
-                raise DataFormatError(
-                    f"{path}: group_result at row {i} must be 0 or 1, got {res!r}"
-                )
-            prev = results.setdefault(gid, int(res))
-            if prev != int(res):
-                raise DataFormatError(
-                    f"{path}: inconsistent group_result within group {gid!r}"
-                )
-            xs.append(vec)
-            row_group.append(group_of.setdefault(gid, len(group_of)))
+        row_group.append(group_of.setdefault(gid, len(group_of)))
     if not xs:
         raise DataFormatError(f"{path}: no data rows")
 
@@ -220,19 +221,14 @@ def ingest_pooled_csv(path) -> PooledDataset:
 def write_pooled_csv(pooled: PooledDataset, path) -> Path:
     if pooled.y_star is None:
         raise DataFormatError("cannot serialize pools with unknown outcomes")
-    path = Path(path)
     d = pooled.dimension
     header = ["group_id"] + [f"x{i}" for i in range(1, d + 1)] + ["group_result"]
     width = max(4, len(str(pooled.n_groups)))
     m = pooled.member_covariates.reshape(-1, d)
     row_group = np.repeat(np.arange(pooled.n_groups), pooled.group_sizes)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, j in enumerate(row_group):
-            writer.writerow([f"g{j:0{width}d}", *(_fmt(v) for v in m[i]),
-                             str(int(pooled.y_star[j]))])
-    return path
+    rows = ([f"g{j:0{width}d}", *map(_fmt, xi), str(int(pooled.y_star[j]))]
+            for j, xi in zip(row_group, m))
+    return _write_rows(Path(path), header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +400,7 @@ def _write_csv(spec: _Spec, obj, path: Path) -> None:
         else:
             headers.append(header)
             cells.append(list(map(text, values)))
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(headers)
-        writer.writerows(zip(*cells))
+    _write_rows(path, headers, zip(*cells))
 
 
 def _to_json(f: _Field, value):
@@ -447,11 +440,8 @@ def _read_csv(spec: _Spec, kind: type, path: Path) -> list[dict]:
     if missing:
         raise DataFormatError(f"{path}: a {kind.__name__} CSV file does not hold "
                               f"{', '.join(sorted(missing))}; read its JSON file")
-    with path.open(newline="") as fh:
-        lines = list(csv.reader(fh))
-    if not lines:
-        raise DataFormatError(f"{path}: empty file")
-    header = [h.strip() for h in lines[0]]
+    rows = _read_rows(path)
+    header = next(rows)
     names = [name for name, _ in columns]
     width = len(header) - len(names) + 1  # of the first column: x, or x1..xd
     spread = header[:1] != names[:1] and columns[0][1].array is np.ndarray
@@ -460,12 +450,7 @@ def _read_csv(spec: _Spec, kind: type, path: Path) -> list[dict]:
     if header != names or width < 1:
         raise DataFormatError(f"{path}: header {header} does not match the "
                               f"{kind.__name__} columns {names}")
-    body = [(i, row) for i, row in enumerate(lines[1:], start=2) if row]
-    for i, row in body:
-        if len(row) != len(header):
-            raise DataFormatError(
-                f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
-            )
+    body = list(rows)
     fields = [columns[0][1]] * width + [f for _, f in columns[1:]]
     cells = [[_KINDS[f.kind].parse(row[j], i, header[j], path) for i, row in body]
              for j, f in enumerate(fields)]

@@ -57,34 +57,30 @@ def _fd_derivative(p: Callable, order: int):
 
 @dataclass(frozen=True)
 class PrevalenceModel:
-    """A true conditional prevalence curve p = delta_scale * pi with its law.
+    """A true conditional prevalence curve p = pi with its covariate law.
 
-    ``pi`` is the base shape; ``delta_scale`` rescales it (the small-prevalence
-    regime knob); p must stay below 1 on the law's central range.  Derivative
-    callables default to central finite differences of p.
+    p must stay in [0, 1) on the law's central range.  Derivative callables
+    default to central finite differences of p.
     """
 
     model_id: str
     pi: Callable
     law: CovariateLaw
-    delta_scale: float = 1.0
     pi_prime: Callable | None = None
     pi_double_prime: Callable | None = None
 
     def __post_init__(self):
-        if not self.delta_scale > 0:
-            raise ValueError("delta_scale must be positive")
         probe = np.linspace(self.law.quantile(0.001), self.law.quantile(0.999), 512)
         vals = self.p(probe)
         if (vals < 0.0).any() or (vals >= 1.0).any():
-            raise ValueError("delta_scale * pi must map the support into [0, 1)")
+            raise ValueError("pi must map the support into [0, 1)")
 
     def p(self, x) -> np.ndarray:
-        return self.delta_scale * np.asarray(self.pi(np.asarray(x, dtype=float)))
+        return np.asarray(self.pi(np.asarray(x, dtype=float)))
 
     def p_prime(self, x) -> np.ndarray:
         f = self.pi_prime if self.pi_prime is not None else _fd_derivative(self.pi, 1)
-        return self.delta_scale * np.asarray(f(np.asarray(x, dtype=float)))
+        return np.asarray(f(np.asarray(x, dtype=float)))
 
     def p_double_prime(self, x) -> np.ndarray:
         f = (
@@ -92,7 +88,7 @@ class PrevalenceModel:
             if self.pi_double_prime is not None
             else _fd_derivative(self.pi, 2)
         )
-        return self.delta_scale * np.asarray(f(np.asarray(x, dtype=float)))
+        return np.asarray(f(np.asarray(x, dtype=float)))
 
     def f(self, x) -> np.ndarray:
         return self.law.pdf(x)
@@ -171,14 +167,14 @@ _SHAPES = {
 }
 
 
-def make_model(model_id: str, law: str = "uniform", delta_scale: float = 1.0) -> PrevalenceModel:
+def make_model(model_id: str, law: str = "uniform") -> PrevalenceModel:
     """Build one of the four benchmark models with its uniform or normal law."""
     if model_id not in _SHAPES:
         raise ValueError(f"unknown model {model_id!r}; choose from i, ii, iii, iv")
     if law not in ("uniform", "normal"):
         raise ValueError("law must be 'uniform' or 'normal'")
     pi, d1, d2 = _SHAPES[model_id]
-    return PrevalenceModel(model_id, pi, _LAWS[model_id][law], delta_scale, d1, d2)
+    return PrevalenceModel(model_id, pi, _LAWS[model_id][law], d1, d2)
 
 
 def constant_model(p0: float, law: CovariateLaw | None = None) -> PrevalenceModel:
@@ -190,5 +186,5 @@ def constant_model(p0: float, law: CovariateLaw | None = None) -> PrevalenceMode
     zero = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     return PrevalenceModel(
         "custom", lambda x: np.full_like(np.asarray(x, dtype=float), p0), law,
-        1.0, zero, zero,
+        zero, zero,
     )

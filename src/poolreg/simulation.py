@@ -83,6 +83,9 @@ class SimulationSpec:
             raise ValueError("nu must be >= 1")
         if any(e != "LL" for e in self.estimators) and self.n % self.nu != 0:
             raise ValueError("nu must divide N for the pooled estimators")
+        if "DH_binned" in self.estimators and self.smoother.degree != 1:
+            raise ValueError("DH_binned is local linear: it needs degree 1, "
+                             f"got {self.smoother.degree}")
 
 
 @dataclass(frozen=True)

@@ -416,6 +416,11 @@ class TestCli:
          "--seed is required"),
         (["estimate", "--input", "BIV", "--estimator", "dh_binned", "--nu", "4",
           "--grid", "0.1:0.9:5"], "a:b:N grids are univariate"),
+        (["estimate", "--input", "DATA", "--estimator", "dh_binned", "--nu", "4",
+          "--degree", "3"], "local linear: it needs degree 1, got 3"),
+        (["simulate", "--estimator", "DH_binned", "--N", "200", "--nu", "2",
+          "--degree", "2", "--replicates", "2", "--seed", "1"],
+         "local linear: it needs degree 1, got 2"),
     ])
     def test_bad_option_value_is_a_clean_error(self, argv, message, inputs,
                                                tmp_path, caplog):

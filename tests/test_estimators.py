@@ -1,6 +1,7 @@
 """Estimator identities, clamping, diagnostics and cross-estimator checks."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from poolreg import (
     seed_stream,
 )
 from poolreg.estimators import CLAMP_HIGH, CLAMP_LOW, CLAMP_NONE, FAIL_EMPTY_BIN
+from poolreg.io import ingest_pooled_csv
 from poolreg.smoothing import _grid_fit_1d
 
 
@@ -341,6 +343,19 @@ class TestEstimateDHBinned:
         assert est.failures.tolist() == [0, FAIL_EMPTY_BIN]
         assert np.isnan(est.p_hat[1])
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_degree_other_than_one_rejected(self, d):
+        # the fit is local linear whatever the spec says, so a higher degree
+        # would silently give the degree-1 result
+        rng = np.random.default_rng(13)
+        x = rng.uniform(0, 1, (400, d))
+        x = x[:, 0] if d == 1 else x
+        pooled = pool_binned(RawDataset(x, np.zeros(400, dtype=int)), 4.0)
+        grid = pooled.centers()
+        spec = SmootherSpec(GAUSSIAN, 3, BandwidthRule.fixed(0.3))
+        with pytest.raises(EstimationError, match="local linear: it needs degree 1, got 3"):
+            estimate_dh_binned(pooled, spec, grid)
+
     def test_needs_enough_nonempty_bins(self):
         x = np.array([0.1, 0.2, 0.3, 0.6])
         pooled = pool_binned(RawDataset(x, np.zeros(4, dtype=int)), 1.0)
@@ -483,3 +498,31 @@ class TestAsymptoticDiagnostics:
         finally:
             tracemalloc.stop()
         assert peak < 40e6
+
+
+def unequal_contiguous_pools(tmp_path) -> PooledDataset:
+    """Contiguous pools of 2, then 5 (48 times), then 3, read from a pooled CSV."""
+    rng = np.random.default_rng(406)
+    sizes = [2] + [5] * 48 + [3]
+    x = np.sort(rng.uniform(0, 1, sum(sizes)))
+    y = rng.random(len(sizes)) < 0.3
+    gid = np.repeat(np.arange(len(sizes)), sizes)
+    path = tmp_path / "pools.csv"
+    path.write_text("group_id,x1,group_result\n" + "".join(
+        f"g{g},{v!r},{int(y[g])}\n" for g, v in zip(gid, x.tolist())))
+    pooled = ingest_pooled_csv(path)
+    assert pooled.strategy == "homogeneous_sorted"
+    assert pooled.sizes().tolist() == sizes
+    return pooled
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda pooled: estimate_dh(pooled, SPECS[0], np.array([0.5])),
+    lambda pooled: data_mode_diagnostics(pooled, SmootherSpec(), 0.2, np.array([0.5])),
+    lambda pooled: estimate_dm(replace(pooled, strategy="generic"), SPECS[0],
+                               np.array([0.5])),
+], ids=["dh", "diagnostics", "dm"])
+def test_unequal_pools_rejected_by_every_equal_size_estimator(estimate, tmp_path):
+    pooled = unequal_contiguous_pools(tmp_path)
+    with pytest.raises(EstimationError, match=r"group size varies across pools \(2 to 5\)"):
+        estimate(pooled)

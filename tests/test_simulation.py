@@ -175,6 +175,12 @@ class TestRunCell:
         with pytest.raises(ValueError, match="nu must"):
             self.spec(n=200, nu=nu, estimators=estimators)
 
+    def test_dh_binned_needs_degree_one(self):
+        smoother = SmootherSpec(GAUSSIAN, 2, BandwidthRule.fixed(0.15))
+        with pytest.raises(ValueError, match="local linear: it needs degree 1, got 2"):
+            self.spec(nu=3, estimators=("DH", "DH_binned"), smoother=smoother)
+        self.spec(nu=3, estimators=("DH", "LL"), smoother=smoother)  # theirs is free
+
     def test_replicates_validated(self):
         with pytest.raises(ValueError, match="replicates"):
             self.spec(replicates=1)

@@ -3,7 +3,12 @@
 Every command takes ``--kernel``, ``--degree``, ``--bandwidth``, ``--out`` and
 ``--format``.  Only ``estimate`` and ``diagnostics`` take ``--grid``, and every
 command but ``diagnostics`` takes ``--seed``.  ``--estimator`` names (DH, DM,
-LL, DH_binned) are case-insensitive.
+LL, DH_binned) are case-insensitive.  ``diagnostics`` and DH_binned are local
+linear and refuse any ``--degree`` but 1.
+
+``estimate`` reads a file, checks the options that pooling needs, then pools
+and estimates through ``simulation.pool_step`` and ``estimate_step``, the
+steps every simulated replicate runs.
 
 Option precedence is CLI flag > config-file value > built-in default.  The
 config file (``--config``) is a flat JSON object keyed by long option names
@@ -29,7 +34,10 @@ from pathlib import Path
 import numpy as np
 
 from . import io as pio
-from .estimators import (
+# estimate_* and pool_random / pool_binned are not called here (simulation's
+# pool_step and estimate_step run them); they stay importable from this module
+# because perfbench's tracer hooks them by name in both modules.
+from .estimators import (  # noqa: F401
     EstimationError,
     asymptotic_diagnostics,
     data_mode_diagnostics,
@@ -40,11 +48,18 @@ from .estimators import (
 )
 from .kernels import kernel
 from .models import constant_model, make_model
-from .pooling import PoolingError, pool_binned, pool_homogeneous, pool_random
+from .pooling import (  # noqa: F401
+    PoolingError,
+    pool_binned,
+    pool_homogeneous,
+    pool_random,
+)
 from .simulation import (
     ESTIMATOR_NAMES,
     ExperimentError,
+    estimate_step,
     overpooling_experiment,
+    pool_step,
     rate_experiment,
     run_table,
 )
@@ -163,53 +178,37 @@ def _cmd_estimate(opt) -> int:
     spec = _smoother(opt)
     gridspec = _parse_grid(opt["grid"])
 
-    pooled = raw = None
     if _sniff_pooled(path):
-        pooled = pio.ingest_pooled_csv(path)
-        log.info("ingested %d pooled groups (strategy %s)", pooled.n_groups,
-                 pooled.strategy)
+        data = pio.ingest_pooled_csv(path)
+        log.info("ingested %d pooled groups (strategy %s)", data.n_groups,
+                 data.strategy)
         if name in ("LL", "DH_binned"):
             raise CliError(f"the {name} estimator needs individual-level input")
-        x = pooled.member_covariates
+        x = data.member_covariates
     else:
         raw = pio.ingest_individual_csv(path)
         log.info("ingested %d individual rows (d=%d)", raw.n, raw.dimension)
-        x = raw.covariates
-    x = x.reshape(x.shape[0], -1)
-    region = tuple(zip(x.min(axis=0).tolist(), x.max(axis=0).tolist()))
-
-    if raw is not None and name != "LL":
-        if raw.responses is None:
-            raise CliError(f"individual input has no y column: the {name} "
-                           "estimator pools the responses")
-        if opt["nu"] is None:
+        if name != "LL" and opt["nu"] is None:
             raise CliError("--nu is required to pool individual data")
-        if name == "DH":
-            pooled = pool_homogeneous(raw, opt["nu"])
-        elif name == "DM":
-            pooled = pool_random(raw, opt["nu"], _require_seed(opt, "random pooling"))
-        else:
-            pooled = pool_binned(raw, opt["nu"], region)
+        seed = _require_seed(opt, "random pooling") if name == "DM" else None
+        x = raw.covariates.reshape(raw.n, -1)
+        region = tuple(zip(x.min(axis=0).tolist(), x.max(axis=0).tolist()))
+        data = pool_step(name, raw, opt["nu"], region, seed)
 
-    if name == "DH_binned" and raw.dimension > 1:
+    if name == "DH_binned" and data.dimension > 1:
         if gridspec[0] is not None:
             raise CliError("a:b:N grids are univariate; multivariate "
                            "evaluation uses the nonempty bin centers")
-        grid = pooled.centers()
+        grid = data.centers()
     else:
-        grid = _grid_array(gridspec, *region[0])
-    # built per call, so that it holds this module's estimate_* as they are now
-    # (perfbench's tracer patches them)
-    estimate = {"DH": estimate_dh, "DM": estimate_dm, "LL": estimate_ll,
-                "DH_binned": estimate_dh_binned}[name]
-    result = estimate(raw if name == "LL" else pooled, spec, grid,
-                      opt["widen_on_failure"])
+        grid = _grid_array(gridspec, float(x.min()), float(x.max()))
+    result = estimate_step(name, data, spec, grid, opt["widen_on_failure"])
 
-    if pooled is not None and not pooled.z_star().any():
+    if name != "LL" and not data.z_star().any():
         log.warning(
             "every pool tested positive (%d pools): p_hat = 1 everywhere carries "
             "no information about the curve; use a smaller group size nu",
-            pooled.n_groups,
+            data.n_groups,
         )
     n_clamped = int((result.clamp_flags != 0).sum())
     n_failed = int((result.failures != 0).sum())

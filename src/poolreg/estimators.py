@@ -118,6 +118,33 @@ def _equal_group_size(pooled: PooledDataset) -> int:
     return int(sizes[0])
 
 
+def _check_local_linear(name: str, spec: SmootherSpec) -> None:
+    if spec.degree != 1:
+        raise EstimationError(
+            f"{name} is local linear: it needs degree 1, got {spec.degree}"
+        )
+
+
+def _smooth(u, z, spec: SmootherSpec, grid, widen_on_failure, *, negatives=True,
+            nu=1, n_raw):
+    """Choose h, fit z on the grid and flag the points whose fit failed.
+
+    The bandwidth rules score the pooled-negative response: z itself, or
+    1 - z when ``negatives`` is false.  A (J, d) design takes the d-variate
+    cross-validated bandwidth.  Returns (fit, failures, h).
+    """
+    if np.ndim(u) == 1:
+        design = np.column_stack([u, z if negatives else 1.0 - z])
+        h = resolve_bandwidth(design, spec, nu=nu, n_raw=n_raw)
+    else:
+        h = select_bandwidth_multi(u, z, spec.kernel, spec.bandwidth)
+    res = grid_fit_with_widening(
+        u, z, spec.degree, spec.kernel, h, grid, widen_on_failure
+    )
+    failures = np.where(res["flag"] == 2, FAIL_FIT, FAIL_NONE).astype(np.int8)
+    return res["value"], failures, h
+
+
 def estimate_dh(
     pooled: PooledDataset, spec: SmootherSpec, grid, widen_on_failure: bool = False
 ) -> EstimateResult:
@@ -143,16 +170,10 @@ def estimate_dh(
     grid = np.asarray(grid, dtype=float)
     _check_grid_range(grid, *pooled.covariate_range())
 
-    u = pooled.centers()
-    z = pooled.z_star()
-    design = np.column_stack([u, z])
-    h = resolve_bandwidth(design, spec, nu=nu, n_raw=int(pooled.sizes().sum()))
-
-    res = grid_fit_with_widening(
-        u, z, spec.degree, spec.kernel, h, grid, widen_on_failure
+    mu_raw, failures, h = _smooth(
+        pooled.centers(), pooled.z_star(), spec, grid, widen_on_failure,
+        nu=nu, n_raw=int(pooled.sizes().sum()),
     )
-    mu_raw = res["value"]
-    failures = np.where(res["flag"] == 2, FAIL_FIT, FAIL_NONE).astype(np.int8)
     mu_clamped, clamp_flags = _clamp_unit(mu_raw)
     p_hat = 1.0 - mu_clamped ** (1.0 / nu)
     return EstimateResult(grid, p_hat, mu_raw, clamp_flags, failures, h, "DH", nu)
@@ -170,16 +191,10 @@ def estimate_ll(
     _check_grid_range(grid, float(raw.covariates.min()), float(raw.covariates.max()))
 
     order = np.argsort(raw.covariates, kind="stable")
-    u = raw.covariates[order]
-    z = raw.responses[order].astype(float)
-    design = np.column_stack([u, 1.0 - z])  # pooled-negative orientation
-    h = resolve_bandwidth(design, spec, nu=1, n_raw=raw.n)
-
-    res = grid_fit_with_widening(
-        u, z, spec.degree, spec.kernel, h, grid, widen_on_failure
+    p_raw, failures, h = _smooth(
+        raw.covariates[order], raw.responses[order].astype(float), spec, grid,
+        widen_on_failure, negatives=False, n_raw=raw.n,
     )
-    p_raw = res["value"]
-    failures = np.where(res["flag"] == 2, FAIL_FIT, FAIL_NONE).astype(np.int8)
     p_hat, clamp_flags = _clamp_unit(p_raw)
     return EstimateResult(grid, p_hat, p_raw, clamp_flags, failures, h, "LL", 1)
 
@@ -214,16 +229,11 @@ def estimate_dm(
         )
 
     order = np.argsort(pooled.member_covariates, kind="stable")
-    u = pooled.member_covariates[order]
-    ys = np.repeat(pooled.y_star, pooled.sizes())[order].astype(float)
-    design = np.column_stack([u, 1.0 - ys])
-    h = resolve_bandwidth(design, spec, nu=1, n_raw=u.shape[0])
-
-    res = grid_fit_with_widening(
-        u, ys, spec.degree, spec.kernel, h, grid, widen_on_failure
+    g_raw, failures, h = _smooth(
+        pooled.member_covariates[order],
+        np.repeat(pooled.y_star, pooled.sizes())[order].astype(float), spec, grid,
+        widen_on_failure, negatives=False, n_raw=order.shape[0],
     )
-    g_raw = res["value"]
-    failures = np.where(res["flag"] == 2, FAIL_FIT, FAIL_NONE).astype(np.int8)
     p_raw = 1.0 - (1.0 - g_raw) / q_hat ** (nu - 1)
     p_hat, clamp_flags = _clamp_unit(p_raw)
     return EstimateResult(grid, p_hat, g_raw, clamp_flags, failures, h, "DM", nu)
@@ -240,10 +250,7 @@ def estimate_dh_binned(
     """
     if pooled.strategy != "binned" or pooled.bin_geometry is None:
         raise EstimationError("estimate_dh_binned needs binned pooling")
-    if spec.degree != 1:
-        raise EstimationError(
-            f"estimate_dh_binned is local linear: it needs degree 1, got {spec.degree}"
-        )
+    _check_local_linear("estimate_dh_binned", spec)
     geom = pooled.bin_geometry
     d = pooled.dimension
     n_bins = pooled.n_groups
@@ -258,30 +265,17 @@ def estimate_dh_binned(
         raise EstimationError(f"grid must be (M,) for d=1 or (M, {d})")
     _check_grid_range(grid_pts)  # finite points outside the region are empty bins
 
-    centers = pooled.centers()
-    z = pooled.z_star()
     m_at = geom.count_at(grid_pts)
-
-    if d == 1:
-        design = np.column_stack([centers, z])
-        h = resolve_bandwidth(design, spec, nu=max(int(round(pooled.nu)), 1),
-                              n_raw=int(geom.counts.sum()))
-        res = grid_fit_with_widening(
-            centers, z, 1, spec.kernel, h, grid_pts[:, 0], widen_on_failure
-        )
-    else:
-        h = select_bandwidth_multi(centers, z, spec.kernel, spec.bandwidth)
-        res = grid_fit_with_widening(
-            centers, z, 1, spec.kernel, h, grid_pts, widen_on_failure
-        )
-
-    mu_raw = res["value"]
-    if (res["flag"] == 2).all() and res["flag"].size:
+    mu_raw, failures, h = _smooth(
+        pooled.centers(), pooled.z_star(), spec,
+        grid_pts[:, 0] if d == 1 else grid_pts, widen_on_failure,
+        nu=max(int(round(pooled.nu)), 1), n_raw=int(geom.counts.sum()),
+    )
+    if (failures == FAIL_FIT).all() and failures.size:
         raise EstimationError(
             "degenerate bin design: no grid point admits a local linear fit "
             "(widen the bandwidth or coarsen the bins)"
         )
-    failures = np.where(res["flag"] == 2, FAIL_FIT, FAIL_NONE).astype(np.int8)
     failures[m_at == 0] = FAIL_EMPTY_BIN
     mu_raw = np.where(m_at == 0, np.nan, mu_raw)
     mu_clamped, clamp_flags = _clamp_unit(mu_raw)
@@ -341,9 +335,13 @@ def asymptotic_diagnostics(
     h: float,
     x,
 ) -> AsymptoticDiagnostics:
-    """Evaluate the error formulas at x for a model with known p, p', p'', f."""
+    """Evaluate the error formulas at x for a model with known p, p', p'', f.
+
+    The formulas are those of a local linear fit, so ``spec.degree`` must be 1.
+    """
     if nu < 1 or n < 1:
         raise EstimationError(f"diagnostics need nu >= 1 and N >= 1 (got {nu}, {n})")
+    _check_local_linear("asymptotic_diagnostics", spec)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     p = np.asarray(model.p(x), dtype=float)
     p1 = np.asarray(model.p_prime(x), dtype=float)
@@ -366,11 +364,13 @@ def data_mode_diagnostics(
 
     The prevalence curve and its derivatives come from a local quadratic on
     a pilot pooled fit; the covariate density from a normal-reference kernel
-    density of the raw covariates.
+    density of the raw covariates.  As in ``asymptotic_diagnostics``,
+    ``spec.degree`` must be 1.
     """
     if pooled.strategy != "homogeneous_sorted":
         raise EstimationError("data-mode diagnostics need homogeneous pools")
     nu = _equal_group_size(pooled)
+    _check_local_linear("data_mode_diagnostics", spec)
     n = pooled.member_covariates.shape[0]
     x = np.atleast_1d(np.asarray(x, dtype=float))
 

@@ -4,6 +4,9 @@ Every replicate draws its own generator from (master seed, cell index,
 replicate index), so cells and replicates are independent and the whole
 table is reproducible bit for bit from one seed, regardless of execution
 order.
+
+``pool_step`` and ``estimate_step`` are the one table from an estimator's
+name to its pooling and its estimate; ``poolreg estimate`` runs them too.
 """
 
 from __future__ import annotations
@@ -181,27 +184,32 @@ def _binned_region(model: PrevalenceModel) -> tuple[tuple[float, float], ...]:
     return ((model.law.quantile(1e-4), model.law.quantile(1.0 - 1e-4)),)
 
 
-def _pool_one(name: str, raw: RawDataset, spec: SimulationSpec, pool_rng):
-    """The replicate's pools for a pooled estimator; LL keeps the raw sample."""
-    if name == "DH":
-        return pool_homogeneous(raw, spec.nu)
-    if name == "DM":
-        return pool_random(raw, spec.nu, pool_rng)
-    if name == "DH_binned":
-        return pool_binned(raw, spec.nu, _binned_region(spec.model))
-    return raw
+def pool_step(name: str, raw: RawDataset, nu, region, rng):
+    """The pools the named estimator smooths; LL keeps the raw sample.
 
-
-def _estimate_one(
-    name: str, data, spec: SimulationSpec, grid: np.ndarray
-) -> EstimateResult:
-    if name == "DH":
-        return estimate_dh(data, spec.smoother, grid)
-    if name == "DM":
-        return estimate_dm(data, spec.smoother, grid)
+    ``region`` bounds DH_binned's bins and ``rng`` (a generator or a seed)
+    forms DM's random pools; each estimator ignores what it does not use.
+    """
     if name == "LL":
-        return estimate_ll(data, spec.smoother, grid)
-    return estimate_dh_binned(data, spec.smoother, grid)
+        return raw
+    if raw.responses is None:
+        raise EstimationError(f"individual input has no y column: the {name} "
+                              "estimator pools the responses")
+    if name == "DH":
+        return pool_homogeneous(raw, nu)
+    if name == "DM":
+        return pool_random(raw, nu, rng)
+    return pool_binned(raw, nu, region)
+
+
+def estimate_step(
+    name: str, data, smoother: SmootherSpec, grid, widen_on_failure: bool = False
+) -> EstimateResult:
+    """The named estimator's curve from ``pool_step``'s output."""
+    # looked up per call, so that the estimate_* a tracer patches here are used
+    estimate = {"DH": estimate_dh, "DM": estimate_dm, "LL": estimate_ll,
+                "DH_binned": estimate_dh_binned}[name]
+    return estimate(data, smoother, grid, widen_on_failure)
 
 
 def _run_cell(spec: SimulationSpec, cell_index: int):
@@ -214,6 +222,7 @@ def _run_cell(spec: SimulationSpec, cell_index: int):
     a = spec.model.law.quantile(0.05)
     b = spec.model.law.quantile(0.95)
     grid = np.linspace(a, b, ISE_GRID_POINTS)
+    region = _binned_region(spec.model)
 
     per_rep: dict[str, list[float | None]] = {e: [] for e in spec.estimators}
     all_positive = dict.fromkeys(spec.estimators, 0)
@@ -221,11 +230,11 @@ def _run_cell(spec: SimulationSpec, cell_index: int):
         raw = sample_replicate(spec.model, spec.n, seed_stream(spec.seed, cell_index, r))
         pool_rng = seed_stream(spec.seed, cell_index, r, _DM_POOL_SALT)
         for name in spec.estimators:
-            data = _pool_one(name, raw, spec, pool_rng)
+            data = pool_step(name, raw, spec.nu, region, pool_rng)
             if name != "LL" and not data.z_star().any():
                 all_positive[name] += 1
             try:
-                est = _estimate_one(name, data, spec, grid)
+                est = estimate_step(name, data, spec.smoother, grid)
                 per_rep[name].append(ise(est, spec.model))
             except (EstimationError, BandwidthError, ReplicateFailed):
                 per_rep[name].append(None)

@@ -57,13 +57,12 @@ class BandwidthRule:
 
     ``candidates`` is the search grid for the data-driven modes; ``None``
     means a default geometric grid spanning the design is built at selection
-    time.  Results are always clamped to ``bounds``.
+    time.
     """
 
     mode: str
     h: float | None = None
     candidates: tuple[float, ...] | None = None
-    bounds: tuple[float, float] = (1e-8, math.inf)
 
     def __post_init__(self):
         if self.mode not in ("fixed", "cross_validation", "plugin"):
@@ -76,23 +75,20 @@ class BandwidthRule:
                 raise BandwidthError("candidate grid must be nonempty")
             if any(not c > 0 for c in self.candidates):
                 raise BandwidthError("candidate bandwidths must be positive")
-        lo, hi = self.bounds
-        if not lo < hi:
-            raise BandwidthError("bandwidth bounds must satisfy h_min < h_max")
 
     @classmethod
     def fixed(cls, h: float) -> "BandwidthRule":
         return cls("fixed", h=float(h))
 
     @classmethod
-    def cv(cls, candidates=None, bounds=(1e-8, math.inf)) -> "BandwidthRule":
+    def cv(cls, candidates=None) -> "BandwidthRule":
         cand = None if candidates is None else tuple(float(c) for c in candidates)
-        return cls("cross_validation", candidates=cand, bounds=bounds)
+        return cls("cross_validation", candidates=cand)
 
     @classmethod
-    def plugin(cls, candidates=None, bounds=(1e-8, math.inf)) -> "BandwidthRule":
+    def plugin(cls, candidates=None) -> "BandwidthRule":
         cand = None if candidates is None else tuple(float(c) for c in candidates)
-        return cls("plugin", candidates=cand, bounds=bounds)
+        return cls("plugin", candidates=cand)
 
 
 @dataclass(frozen=True)
@@ -491,15 +487,16 @@ def _min_usable_h(u: np.ndarray, degree: int, kern: Kernel) -> float:
     return float(gaps.max() / radius) if gaps.size else 0.0
 
 
-def _cv_eval_indices(u: np.ndarray, cap: int) -> np.ndarray:
+def _cv_eval_indices(u: np.ndarray, z: np.ndarray, cap: int) -> np.ndarray:
     """Deterministic quantile-strided subset of design indices for LOO scoring.
 
     Scoring is restricted to the central 90% of the design (the region the
     curve is estimated on); boundary points have high-leverage residuals
-    that only add noise to the score.
+    that only add noise to the score.  Points are ordered by (u, z), so the
+    subset holds the same (u, z) pairs whatever the order of tied rows.
     """
     J = u.shape[0]
-    order = np.argsort(u, kind="stable")
+    order = np.lexsort((z, u))
     lo = int(np.floor(0.05 * J))
     hi = max(lo + 2, int(np.ceil(0.95 * J)))
     inner = order[lo:hi]
@@ -578,8 +575,6 @@ def select_bandwidth(
     minimizes the integrated asymptotic (variance + bias^2) risk of the
     pooled estimator over the same grid; ``nu`` and ``n_raw`` supply the
     pooling context (group size and raw sample size).
-
-    The result is clamped to the rule's bounds.
     """
     rule = spec.bandwidth
     if rule.mode == "fixed":
@@ -595,11 +590,10 @@ def select_bandwidth(
         cands = np.sort(np.asarray(rule.candidates, dtype=float))
     else:
         cands = default_candidates(u, spec.degree)
-    lo, hi = rule.bounds
 
     # the plug-in only needs the CV value as a pilot scale, so it can afford
     # a cheaper scoring subset than the pure-CV mode
-    eval_idx = _cv_eval_indices(u, 800 if rule.mode == "cross_validation" else 300)
+    eval_idx = _cv_eval_indices(u, z, 800 if rule.mode == "cross_validation" else 300)
     scores = np.array(
         [loo_cv_score(u, z, spec.degree, spec.kernel, h, eval_idx) for h in cands]
     )
@@ -612,20 +606,12 @@ def select_bandwidth(
         ) from None
 
     if rule.mode == "cross_validation":
-        return float(min(max(h_cv, lo), hi))
+        return h_cv
 
     # a CV value at the bottom of the grid signals a collapsed (noise-driven)
     # selection; the pilot derived from it cannot be trusted for derivatives
     collapsed = cands.shape[0] > 1 and h_cv <= cands[1]
-    return float(
-        min(
-            max(
-                _plugin_bandwidth(u, z, spec, cands, h_cv, nu, n_raw, collapsed),
-                lo,
-            ),
-            hi,
-        )
-    )
+    return _plugin_bandwidth(u, z, spec, cands, h_cv, nu, n_raw, collapsed)
 
 
 def _plugin_bandwidth(u, z, spec, cands, h_cv, nu, n_raw, collapsed=False):
@@ -770,6 +756,4 @@ def select_bandwidth_multi(
         )
         for h in cands
     ])
-    best_h = _cv_choice(cands, scores, z)
-    lo, hi = rule.bounds
-    return float(min(max(best_h, lo), hi))
+    return _cv_choice(cands, scores, z)

@@ -12,7 +12,13 @@ from pathlib import Path
 
 import pytest
 
-from poolreg import make_model, pool_homogeneous, sample_replicate, seed_stream
+from poolreg import (
+    make_model,
+    pool_homogeneous,
+    pool_random,
+    sample_replicate,
+    seed_stream,
+)
 from poolreg.cli import main
 from poolreg.io import write_individual_csv, write_pooled_csv
 
@@ -57,3 +63,34 @@ def test_traced_cli_run_counts_what_it_reads(tmp_path):
     written = [p for p in tmp_path.glob("*/*") if p.is_file()]
     assert tracer.counts["io.bytes_written"] == sum(p.stat().st_size for p in written)
     assert tracer.counts["simulation.replicates_dropped"] == 0
+
+
+def test_traced_estimate_keeps_every_estimator_span(tmp_path):
+    # a step that bound pool_* or estimate_* at import time would still pass
+    # every other test, but its calls would bypass the tracer's hooks
+    raw = sample_replicate(make_model("iii"), 300, seed_stream(32))
+    individual = write_individual_csv(raw, tmp_path / "individual.csv")
+    homogeneous = write_pooled_csv(pool_homogeneous(raw, 5), tmp_path / "hom.csv")
+    random = write_pooled_csv(pool_random(raw, 5, 4), tmp_path / "rnd.csv")
+    runs = [
+        (individual, "dh", ["--nu", "5"], "pooling.pool_homogeneous"),
+        (individual, "dm", ["--nu", "5", "--seed", "4"], "pooling.pool_random"),
+        (individual, "ll", [], None),
+        (individual, "dh_binned", ["--nu", "5"], "pooling.pool_binned"),
+        (homogeneous, "dh", [], None),
+        (random, "dm", [], None),
+    ]
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        for i, (path, name, extra, _) in enumerate(runs):
+            assert main(["estimate", "--input", str(path), "--estimator", name,
+                         *extra, "--bandwidth", "fixed:0.2",
+                         "--out", str(tmp_path / f"out{i}")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == 0
+    names = [span[0] for span in tracer.spans]
+    assert names.count("estimators.estimate") == len(runs)
+    pooled = [n for n in names if n.startswith("pooling.")]
+    assert pooled == [p for *_, p in runs if p is not None]

@@ -421,6 +421,9 @@ class TestCli:
         (["simulate", "--estimator", "DH_binned", "--N", "200", "--nu", "2",
           "--degree", "2", "--replicates", "2", "--seed", "1"],
          "local linear: it needs degree 1, got 2"),
+        (["diagnostics", "--degree", "2"], "local linear: it needs degree 1, got 2"),
+        (["diagnostics", "--input", "DATA", "--nu", "5", "--degree", "3"],
+         "local linear: it needs degree 1, got 3"),
     ])
     def test_bad_option_value_is_a_clean_error(self, argv, message, inputs,
                                                tmp_path, caplog):
@@ -599,10 +602,10 @@ def _same_options(data: str) -> dict:
         "diagnostics": (
             ["--model", "ii", "--law", "normal", "--nu", "4", "--N", "2000",
              "--bandwidth", "fixed:0.2", "--grid", "0.1:0.9:5", "--kernel",
-             "epanechnikov", "--degree", "2"],
+             "epanechnikov", "--degree", "1"],
             {"model": "ii", "law": "normal", "nu": 4, "N": 2000,
              "bandwidth": "fixed:0.2", "grid": "0.1:0.9:5", "kernel": "epanechnikov",
-             "degree": 2},
+             "degree": 1},
         ),
     }
 

@@ -338,14 +338,6 @@ class TestSelectBandwidth:
         with pytest.raises(BandwidthError, match="smallest usable h"):
             select_bandwidth(design_of(u, z), spec)
 
-    def test_result_clamped_to_bounds(self):
-        u = np.linspace(0, 1, 30)
-        z = 3.0 * u
-        spec = SmootherSpec(
-            GAUSSIAN, 1, BandwidthRule.cv(candidates=[0.05, 0.1], bounds=(0.2, 0.5))
-        )
-        assert select_bandwidth(design_of(u, z), spec) == 0.2
-
     def test_requires_enough_points(self):
         spec = SmootherSpec(GAUSSIAN, 1, BandwidthRule.cv(candidates=[0.3]))
         with pytest.raises(BandwidthError):
@@ -367,7 +359,3 @@ class TestBandwidthRuleValidation:
             BandwidthRule.cv(candidates=[])
         with pytest.raises(BandwidthError):
             BandwidthRule.cv(candidates=[0.1, -0.2])
-
-    def test_bounds_ordered(self):
-        with pytest.raises(BandwidthError):
-            BandwidthRule.cv(candidates=[0.1], bounds=(1.0, 1.0))

@@ -1,18 +1,21 @@
-"""Command-line interface: estimate, simulate, rate, overpool, diagnostics.
+"""Command-line interface: estimate, simulate, rate, overpool, diagnostics and
+data-diagnostics.
 
 Every command takes ``--kernel``, ``--degree``, ``--bandwidth``, ``--out`` and
-``--format``.  Only ``estimate`` and ``diagnostics`` take ``--grid``, and every
-command but ``diagnostics`` takes ``--seed``.  ``--estimator`` names (DH, DM,
-LL, DH_binned) are case-insensitive.  ``diagnostics`` and DH_binned are local
+``--format``, and reads every option it takes.  Only ``estimate`` and the two
+diagnostics commands take ``--grid``, and these two take no ``--seed``;
+``data-diagnostics`` takes no model options.  ``--estimator`` names (DH, DM,
+LL, DH_binned) are case-insensitive.  The diagnostics and DH_binned are local
 linear and refuse any ``--degree`` but 1.
 
 ``estimate`` reads a file, checks the options that pooling needs, then pools
 and estimates through ``simulation.pool_step`` and ``estimate_step``, the
-steps every simulated replicate runs.
+steps every simulated replicate runs.  It refuses ``--nu`` where nothing
+pools: with pooled input, whose pool sizes fix nu, and with ``ll``.
 
 Option precedence is CLI flag > config-file value > built-in default.  The
 config file (``--config``) is a flat JSON object keyed by long option names
-with ``_`` for ``-`` (``N``, ``fixed_h``, ``widen_on_failure``).  Its values
+with ``_`` for ``-`` (``N``, ``widen_on_failure``).  Its values
 are parsed by the command's own parser, so they get the flags' types and
 choices: a list stands for a repeated flag, ``true`` for a bare switch, and
 ``false`` or ``null`` for an absent one.  A flag replaces the config's value
@@ -34,9 +37,9 @@ from pathlib import Path
 import numpy as np
 
 from . import io as pio
-# estimate_* and pool_random / pool_binned are not called here (simulation's
-# pool_step and estimate_step run them); they stay importable from this module
-# because perfbench's tracer hooks them by name in both modules.
+# estimate_* and pool_* are not called here (simulation's pool_step and
+# estimate_step run them); they stay importable from this module because
+# perfbench's tracer hooks them by name in both modules.
 from .estimators import (  # noqa: F401
     EstimationError,
     asymptotic_diagnostics,
@@ -76,7 +79,7 @@ _COMMON = {
 
 # The value of every option a command reads when neither a flag nor the config
 # sets it.  estimate smooths one dataset (cv); the simulation commands use the
-# steadier plug-in rule; diagnostics demand an explicit fixed bandwidth.
+# steadier plug-in rule; both diagnostics demand an explicit fixed bandwidth.
 _BUILT_IN = {
     "estimate": {**_COMMON, "bandwidth": "cv", "grid": "201", "seed": None,
                  "input": None, "estimator": None, "nu": None,
@@ -85,12 +88,13 @@ _BUILT_IN = {
                  "law": "uniform", "N": [5000], "nu": [5], "estimator": ["DH"],
                  "traces": False, "replicates": 200},
     "rate": {**_COMMON, "bandwidth": "plugin", "seed": None, "model": "iii",
-             "law": "uniform", "N": [1000, 4000, 16000], "nu": 5, "fixed_h": None,
-             "replicates": 100},
+             "law": "uniform", "N": [1000, 4000, 16000], "nu": 5, "replicates": 100},
     "overpool": {**_COMMON, "bandwidth": "plugin", "seed": None, "p0": 0.1,
                  "N": 10_000, "nu": [5, 10, 20, 40], "replicates": 100},
     "diagnostics": {**_COMMON, "bandwidth": "cv", "grid": "201", "model": "iii",
-                    "law": "uniform", "input": None, "N": 10_000, "nu": 5},
+                    "law": "uniform", "N": 10_000, "nu": 5},
+    "data-diagnostics": {**_COMMON, "bandwidth": "cv", "grid": "201", "input": None,
+                         "nu": 5},
 }
 
 
@@ -162,16 +166,26 @@ def _sniff_pooled(path: Path) -> bool:
     return first.split(",")[0].strip() == "group_id"
 
 
-# ---------------------------------------------------------------------------
-# command implementations
-
-
-def _cmd_estimate(opt) -> int:
+def _input_path(opt) -> Path:
     if opt["input"] is None:
         raise CliError("--input is required")
     path = Path(opt["input"])
     if not path.exists():
         raise CliError(f"input file not found: {path}")
+    return path
+
+
+def _emit(result, opt, stem: str) -> None:
+    for f in pio.emit_results(result, opt["format"], opt["out"], stem):
+        log.info("wrote %s", f)
+
+
+# ---------------------------------------------------------------------------
+# command implementations
+
+
+def _cmd_estimate(opt) -> int:
+    path = _input_path(opt)
     name = opt["estimator"]
     if name is None:
         raise CliError(f"--estimator is required ({', '.join(ESTIMATOR_NAMES)})")
@@ -184,10 +198,14 @@ def _cmd_estimate(opt) -> int:
                  data.strategy)
         if name in ("LL", "DH_binned"):
             raise CliError(f"the {name} estimator needs individual-level input")
+        if opt["nu"] is not None:
+            raise CliError("--nu is not read with pooled input: its pool sizes fix nu")
         x = data.member_covariates
     else:
         raw = pio.ingest_individual_csv(path)
         log.info("ingested %d individual rows (d=%d)", raw.n, raw.dimension)
+        if name == "LL" and opt["nu"] is not None:
+            raise CliError("--nu is not read by the LL estimator, which does not pool")
         if name != "LL" and opt["nu"] is None:
             raise CliError("--nu is required to pool individual data")
         seed = _require_seed(opt, "random pooling") if name == "DM" else None
@@ -216,10 +234,7 @@ def _cmd_estimate(opt) -> int:
         log.warning("clamped_points=%d of %d", n_clamped, result.p_hat.shape[0])
     if n_failed:
         log.warning("failed_points=%d of %d", n_failed, result.p_hat.shape[0])
-    files = pio.emit_results(result, opt["format"], opt["out"],
-                             f"estimate_{result.estimator_tag.lower()}")
-    for f in files:
-        log.info("wrote %s", f)
+    _emit(result, opt, f"estimate_{result.estimator_tag.lower()}")
     return 0
 
 
@@ -242,12 +257,9 @@ def _cmd_simulate(opt) -> int:
     excluded = sum(r.cell.n_failed_reps for r in rows)
     if excluded:
         log.warning("excluded_replicates=%d across %d cells", excluded, len(rows))
-    for f in pio.emit_results(rows, opt["format"], opt["out"], "table"):
-        log.info("wrote %s", f)
-    if trace_rows is not None:
-        outdir = Path(opt["out"])
-        outdir.mkdir(parents=True, exist_ok=True)
-        f = pio.write_traces_csv(trace_rows, outdir / "table_traces.csv")
+    _emit(rows, opt, "table")
+    if trace_rows is not None:  # _emit has made the directory
+        f = pio.write_traces_csv(trace_rows, Path(opt["out"]) / "table_traces.csv")
         log.info("wrote %s", f)
     return 0
 
@@ -256,13 +268,10 @@ def _cmd_rate(opt) -> int:
     seed = _require_seed(opt, "rate")
     res = rate_experiment(
         make_model(opt["model"], law=opt["law"]), opt["nu"], opt["N"],
-        replicates=opt["replicates"], seed=seed,
-        smoother=_smoother(opt),
-        fixed_h=opt["fixed_h"],
+        replicates=opt["replicates"], seed=seed, smoother=_smoother(opt),
     )
     log.info("slope=%.4f band=[%.4f, %.4f]", res.slope, *res.slope_band)
-    for f in pio.emit_results(res, opt["format"], opt["out"], "rate"):
-        log.info("wrote %s", f)
+    _emit(res, opt, "rate")
     return 0
 
 
@@ -270,41 +279,36 @@ def _cmd_overpool(opt) -> int:
     seed = _require_seed(opt, "overpool")
     rows = overpooling_experiment(
         constant_model(opt["p0"]), opt["N"], opt["nu"],
-        replicates=opt["replicates"], seed=seed,
-        smoother=_smoother(opt),
+        replicates=opt["replicates"], seed=seed, smoother=_smoother(opt),
     )
-    for f in pio.emit_results(rows, opt["format"], opt["out"], "overpool"):
-        log.info("wrote %s", f)
+    _emit(rows, opt, "overpool")
     return 0
 
 
-def _cmd_diagnostics(opt) -> int:
+def _diagnostics_options(opt):
+    """The smoother, its fixed bandwidth and the grid spec of a diagnostics run."""
     spec = _smoother(opt)
     if spec.bandwidth.mode != "fixed":
         raise CliError("diagnostics evaluate the error formulas at a concrete "
                        "bandwidth; pass --bandwidth fixed:H")
-    h = float(spec.bandwidth.h)
-    gridspec = _parse_grid(opt["grid"])
+    return spec, float(spec.bandwidth.h), _parse_grid(opt["grid"])
 
-    if opt["input"] is not None:
-        path = Path(opt["input"])
-        if not path.exists():
-            raise CliError(f"input file not found: {path}")
-        raw = pio.ingest_individual_csv(path)
-        if raw.responses is None:
-            raise CliError("data-mode diagnostics need a y column")
-        pooled = pool_homogeneous(raw, opt["nu"])
-        lo = float(np.quantile(raw.covariates, 0.05))
-        hi = float(np.quantile(raw.covariates, 0.95))
-        diag = data_mode_diagnostics(pooled, spec, h, _grid_array(gridspec, lo, hi))
-    else:
-        model = make_model(opt["model"], law=opt["law"])
-        lo, hi = model.quantile_band()
-        diag = asymptotic_diagnostics(
-            model, spec, opt["nu"], opt["N"], h, _grid_array(gridspec, lo, hi)
-        )
-    for f in pio.emit_results(diag, opt["format"], opt["out"], "diagnostics"):
-        log.info("wrote %s", f)
+
+def _cmd_diagnostics(opt) -> int:
+    spec, h, gridspec = _diagnostics_options(opt)
+    model = make_model(opt["model"], law=opt["law"])
+    grid = _grid_array(gridspec, *model.quantile_band())
+    diag = asymptotic_diagnostics(model, spec, opt["nu"], opt["N"], h, grid)
+    _emit(diag, opt, "diagnostics")
+    return 0
+
+
+def _cmd_data_diagnostics(opt) -> int:
+    spec, h, gridspec = _diagnostics_options(opt)
+    raw = pio.ingest_individual_csv(_input_path(opt))
+    pooled = pool_step("DH", raw, opt["nu"], None, None)
+    grid = _grid_array(gridspec, *np.quantile(raw.covariates, [0.05, 0.95]))
+    _emit(data_mode_diagnostics(pooled, spec, h, grid), opt, "diagnostics")
     return 0
 
 
@@ -362,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rate.add_argument("--law", choices=["uniform", "normal"])
     p_rate.add_argument("--N", action="append", type=int)
     p_rate.add_argument("--nu", type=int)
-    p_rate.add_argument("--fixed-h", type=float)
 
     p_over = command("overpool", "over-pooling degradation experiment",
                      replicated=True)
@@ -370,13 +373,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_over.add_argument("--N", type=int)
     p_over.add_argument("--nu", action="append", type=int)
 
-    p_diag = command("diagnostics", "asymptotic error diagnostics")
+    p_diag = command("diagnostics", "asymptotic error diagnostics of a model")
     p_diag.add_argument("--grid", help="N | a:b:N")
     p_diag.add_argument("--model", choices=["i", "ii", "iii", "iv"])
     p_diag.add_argument("--law", choices=["uniform", "normal"])
-    p_diag.add_argument("--input", help="individual CSV for data-mode diagnostics")
     p_diag.add_argument("--N", type=int)
     p_diag.add_argument("--nu", type=int)
+
+    p_data = command("data-diagnostics",
+                     "asymptotic error diagnostics estimated from an individual CSV")
+    p_data.add_argument("--input")
+    p_data.add_argument("--grid", help="N | a:b:N")
+    p_data.add_argument("--nu", type=int)
 
     return parser
 
@@ -418,6 +426,7 @@ _COMMANDS = {
     "rate": _cmd_rate,
     "overpool": _cmd_overpool,
     "diagnostics": _cmd_diagnostics,
+    "data-diagnostics": _cmd_data_diagnostics,
 }
 
 

@@ -312,7 +312,9 @@ class AsymptoticDiagnostics:
     v: np.ndarray
 
 
-def _diagnostic_formulas(p, p1, p2, f, kern: Kernel, nu: int, n: int, h: float, q: float):
+def _diagnostic_formulas(
+    x, p, p1, p2, f, kern: Kernel, nu: int, n: int, h: float, q: float
+) -> AsymptoticDiagnostics:
     if (f <= 0.0).any():
         raise EstimationError("design density is zero at a requested point")
     a_sq, big_b = _dh_first_order(p, p1, p2, f, kern, nu, n, h)
@@ -324,7 +326,7 @@ def _diagnostic_formulas(p, p1, p2, f, kern: Kernel, nu: int, n: int, h: float, 
     big_a1 = np.sqrt(a1_sq)
     big_b1 = 0.5 * h * h * p2 * b
     lam = one_m_p ** (-nu / 5.0)
-    return big_a, big_b, big_a1, big_b1, lam, b, v
+    return AsymptoticDiagnostics(x, big_a, big_b, big_a1, big_b1, q, lam, b, v)
 
 
 def asymptotic_diagnostics(
@@ -348,10 +350,7 @@ def asymptotic_diagnostics(
     p2 = np.asarray(model.p_double_prime(x), dtype=float)
     f = np.asarray(model.f(x), dtype=float)
     q = model.mean_survival()
-    big_a, big_b, big_a1, big_b1, lam, b, v = _diagnostic_formulas(
-        p, p1, p2, f, spec.kernel, nu, n, h, q
-    )
-    return AsymptoticDiagnostics(x, big_a, big_b, big_a1, big_b1, q, lam, b, v)
+    return _diagnostic_formulas(x, p, p1, p2, f, spec.kernel, nu, n, h, q)
 
 
 def data_mode_diagnostics(
@@ -392,7 +391,4 @@ def data_mode_diagnostics(
     f_hat = np.maximum(f_hat, 1e-300)
 
     q_hat = float(np.mean(z)) ** (1.0 / nu)
-    big_a, big_b, big_a1, big_b1, lam, b, v = _diagnostic_formulas(
-        p_pilot, p1, p2, f_hat, spec.kernel, nu, n, h, q_hat
-    )
-    return AsymptoticDiagnostics(x, big_a, big_b, big_a1, big_b1, q_hat, lam, b, v)
+    return _diagnostic_formulas(x, p_pilot, p1, p2, f_hat, spec.kernel, nu, n, h, q_hat)

@@ -154,8 +154,7 @@ def ise(
     neighbors and counted; a replicate with more than 10% failed points in
     the band cannot be scored.
     """
-    a = model.law.quantile(quantile_band[0])
-    b = model.law.quantile(quantile_band[1])
+    a, b = model.quantile_band(*quantile_band)
     grid = np.linspace(a, b, ISE_GRID_POINTS)
 
     gx = np.asarray(result.grid, dtype=float)
@@ -219,9 +218,7 @@ def _run_cell(spec: SimulationSpec, cell_index: int):
     count of replicates whose pools all tested positive.  Pooling sits
     outside the ``try``: ``SimulationSpec`` has already validated nu.
     """
-    a = spec.model.law.quantile(0.05)
-    b = spec.model.law.quantile(0.95)
-    grid = np.linspace(a, b, ISE_GRID_POINTS)
+    grid = np.linspace(*spec.model.quantile_band(), ISE_GRID_POINTS)
     region = _binned_region(spec.model)
 
     per_rep: dict[str, list[float | None]] = {e: [] for e in spec.estimators}
@@ -320,16 +317,13 @@ def rate_experiment(
     replicates: int = 100,
     seed: int = 0,
     smoother: SmootherSpec | None = None,
-    h_ref: float | None = None,
-    fixed_h: float | None = None,
 ) -> RateResult:
     """Log-log slope of the median ISE against N.
 
-    Bandwidths scale as h(N) = h0 (N/N0)^(-1/5) with h0 cross-validated on
-    a deterministic pilot replicate at the smallest N (the first-order
-    optimal scaling), unless ``fixed_h`` pins one bandwidth for every N or
-    ``h_ref`` supplies h0 directly.  The slope's bootstrap band resamples
-    replicate ISE values within each N.
+    A fixed bandwidth rule uses its h at every N.  A cv or plugin rule
+    chooses h0 on a deterministic pilot replicate at the smallest N0, and
+    h(N) = h0 (N/N0)^(-1/5), the first-order optimal scaling.  The slope's
+    bootstrap band resamples replicate ISE values within each N.
     """
     if len(n_values) < 3:
         raise ValueError("rate experiment needs at least 3 values of N")
@@ -338,21 +332,19 @@ def rate_experiment(
     specs = [SimulationSpec(model, n, nu, ("DH",), base, replicates, seed)
              for n in n_values]
 
-    if fixed_h is None and h_ref is None:
+    if base.bandwidth.mode == "fixed":
+        bandwidths = [float(base.bandwidth.h)] * len(n_values)
+    else:
         from .smoothing import select_bandwidth
 
         pilot_raw = sample_replicate(model, n_values[0], seed_stream(seed, 10_000))
         pooled = pool_homogeneous(pilot_raw, nu)
         design = np.column_stack([pooled.centers(), pooled.z_star()])
-        sel_spec = SmootherSpec(base.kernel, base.degree, BandwidthRule.plugin())
-        h_ref = select_bandwidth(design, sel_spec, nu=nu, n_raw=n_values[0])
+        h0 = select_bandwidth(design, base, nu=nu, n_raw=n_values[0])
+        bandwidths = [float(h0) * (n / n_values[0]) ** (-0.2) for n in n_values]
 
-    meds, bws, fails, all_scores = [], [], [], []
-    for i, n in enumerate(n_values):
-        if fixed_h is not None:
-            h = float(fixed_h)
-        else:
-            h = float(h_ref) * (n / n_values[0]) ** (-0.2)
+    meds, fails, all_scores = [], [], []
+    for i, (n, h) in enumerate(zip(n_values, bandwidths)):
         fixed = SmootherSpec(base.kernel, base.degree, BandwidthRule.fixed(h))
         per_rep = _run_cell(replace(specs[i], smoother=fixed), i)[0]["DH"]
         scores = [v for v in per_rep if v is not None]
@@ -363,7 +355,6 @@ def rate_experiment(
                 f"({n_failed} of {replicates} replicates unusable)"
             )
         meds.append(float(np.median(scores)))
-        bws.append(h)
         fails.append(n_failed)
         all_scores.append(np.asarray(scores))
 
@@ -381,7 +372,7 @@ def rate_experiment(
     band = (float(np.quantile(boot, 0.025)), float(np.quantile(boot, 0.975)))
 
     return RateResult(
-        tuple(n_values), tuple(meds), tuple(bws), slope, band, tuple(fails)
+        tuple(n_values), tuple(meds), tuple(bandwidths), slope, band, tuple(fails)
     )
 
 
@@ -417,7 +408,7 @@ def overpooling_experiment(
     base = smoother if smoother is not None else default_table_smoother()
     specs = [SimulationSpec(model, n, int(nu), ("DH",), base, replicates, seed)
              for nu in nu_values]
-    mid = 0.5 * (model.law.quantile(0.05) + model.law.quantile(0.95))
+    mid = 0.5 * sum(model.quantile_band())
 
     rows = []
     for i, spec in enumerate(specs):

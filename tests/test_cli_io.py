@@ -1,5 +1,6 @@
 """Codec round-trips, ingestion contracts and CLI behavior."""
 
+import argparse
 import json
 import logging
 import shlex
@@ -23,7 +24,7 @@ from poolreg import (
     sample_replicate,
     seed_stream,
 )
-from poolreg.cli import build_parser, main
+from poolreg.cli import _BUILT_IN, build_parser, main
 from poolreg.io import (
     DataFormatError,
     emit_results,
@@ -371,7 +372,7 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "--N", "200", "--nu", "0"], "nu must be >= 1"),
         (["rate", "--N", "100", "--N", "200", "--N", "400", "--nu", "0",
-          "--fixed-h", "0.2"], "nu must be >= 1"),
+          "--bandwidth", "fixed:0.2"], "nu must be >= 1"),
         (["simulate", "--N", "200", "--nu", "-5"], "nu must be >= 1"),
         (["simulate", "--estimator", "DH_binned", "--N", "200", "--nu", "3"],
          "nu must divide N"),
@@ -422,8 +423,16 @@ class TestCli:
           "--degree", "2", "--replicates", "2", "--seed", "1"],
          "local linear: it needs degree 1, got 2"),
         (["diagnostics", "--degree", "2"], "local linear: it needs degree 1, got 2"),
-        (["diagnostics", "--input", "DATA", "--nu", "5", "--degree", "3"],
+        (["data-diagnostics", "--input", "DATA", "--nu", "5", "--degree", "3"],
          "local linear: it needs degree 1, got 3"),
+        (["estimate", "--input", "POOLED", "--estimator", "dh", "--nu", "5"],
+         "--nu is not read with pooled input"),
+        (["estimate", "--input", "POOLED", "--estimator", "dm", "--nu", "5"],
+         "--nu is not read with pooled input"),
+        (["estimate", "--input", "DATA", "--estimator", "ll", "--nu", "5"],
+         "--nu is not read by the LL estimator"),
+        (["data-diagnostics", "--nu", "5"], "--input is required"),
+        (["data-diagnostics", "--input", "NOY", "--nu", "5"], "no y column"),
     ])
     def test_bad_option_value_is_a_clean_error(self, argv, message, inputs,
                                                tmp_path, caplog):
@@ -464,7 +473,7 @@ class TestCli:
         code = main([
             "rate", "--model", "iii", "--nu", "2", "--N", "100", "--N", "200",
             "--N", "400", "--replicates", "4", "--seed", "3",
-            "--fixed-h", "0.25", "--out", str(out),
+            "--bandwidth", "fixed:0.25", "--out", str(out),
         ])
         assert code == 0
         payload = json.loads((out / "rate.json").read_text())
@@ -477,9 +486,23 @@ class TestCli:
         code = main([
             "rate", "--model", "iii", "--nu", "2", "--N", "100", "--N", "200",
             "--N", "400", "--replicates", "3", "--seed", "3",
-            "--fixed-h", "0.25", "--out", str(tmp_path / "o"),
+            "--bandwidth", "fixed:0.25", "--out", str(tmp_path / "o"),
         ])
         assert code == 2
+
+    def test_rate_reads_its_bandwidth(self, tmp_path):
+        argv = ["rate", "--model", "iii", "--nu", "2", "--N", "100", "--N", "200",
+                "--N", "400", "--replicates", "4", "--seed", "3", "--format", "json"]
+        assert main(argv + ["--out", str(tmp_path / "default")]) == 0
+        assert main(argv + ["--bandwidth", "fixed:0.25",
+                            "--out", str(tmp_path / "fixed")]) == 0
+        payload = json.loads((tmp_path / "fixed" / "rate.json").read_text())
+        assert payload["bandwidths"] == [0.25, 0.25, 0.25]
+        assert _outputs(tmp_path / "fixed") != _outputs(tmp_path / "default")
+        with pytest.raises(SystemExit) as exc:  # --bandwidth fixed:H replaced it
+            main(argv + ["--fixed-h", "0.25", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "o").exists()
 
     def test_overpool_command(self, tmp_path):
         out = tmp_path / "o"
@@ -504,7 +527,7 @@ class TestCli:
     def test_diagnostics_data_mode(self, data_csv, tmp_path):
         out = tmp_path / "o"
         code = main([
-            "diagnostics", "--input", str(data_csv), "--nu", "5",
+            "data-diagnostics", "--input", str(data_csv), "--nu", "5",
             "--bandwidth", "fixed:0.2", "--grid", "0.2:0.8:5", "--out", str(out),
         ])
         assert code == 0
@@ -589,9 +612,9 @@ def _same_options(data: str) -> dict:
         ),
         "rate": (
             ["--model", "iii", "--nu", "2", "--N", "100", "--N", "200", "--N", "400",
-             "--replicates", "4", "--seed", "3", "--fixed-h", "0.25"],
+             "--replicates", "4", "--seed", "3", "--bandwidth", "fixed:0.25"],
             {"model": "iii", "nu": 2, "N": [100, 200, 400], "replicates": 4,
-             "seed": 3, "fixed_h": 0.25},
+             "seed": 3, "bandwidth": "fixed:0.25"},
         ),
         "overpool": (
             ["--p0", "0.2", "--N", "400", "--nu", "2", "--nu", "4", "--replicates",
@@ -607,6 +630,12 @@ def _same_options(data: str) -> dict:
              "bandwidth": "fixed:0.2", "grid": "0.1:0.9:5", "kernel": "epanechnikov",
              "degree": 1},
         ),
+        "data-diagnostics": (
+            ["--input", data, "--nu", "4", "--bandwidth", "fixed:0.2", "--grid",
+             "0.2:0.8:7", "--kernel", "epanechnikov", "--format", "json"],
+            {"input": data, "nu": 4, "bandwidth": "fixed:0.2", "grid": "0.2:0.8:7",
+             "kernel": "epanechnikov", "format": "json"},
+        ),
     }
 
 
@@ -621,7 +650,8 @@ class TestConfigFile:
         return main(["--config", str(path), *argv])
 
     @pytest.mark.parametrize(
-        "command", ["estimate", "simulate", "rate", "overpool", "diagnostics"]
+        "command",
+        ["estimate", "simulate", "rate", "overpool", "diagnostics", "data-diagnostics"],
     )
     def test_config_and_flags_agree(self, command, data_csv, tmp_path):
         flags, cfg = _same_options(str(data_csv))[command]
@@ -663,7 +693,7 @@ class TestConfigFile:
 
     def test_scalar_nu_for_rate(self, tmp_path):
         argv = ["rate", "--N", "100", "--N", "200", "--N", "400", "--replicates",
-                "4", "--seed", "3", "--fixed-h", "0.25"]
+                "4", "--seed", "3", "--bandwidth", "fixed:0.25"]
         by_flags, by_config = tmp_path / "flags", tmp_path / "config"
         assert main(argv + ["--nu", "2", "--out", str(by_flags)]) == 0
         assert self.run_with_config(
@@ -698,6 +728,12 @@ def test_estimator_names_are_case_insensitive(spelling, name, data_csv, tmp_path
     ("rate", "grid", "0:1:5"),
     ("overpool", "grid", "11"),
     ("diagnostics", "seed", "1"),
+    ("diagnostics", "input", "data.csv"),
+    ("data-diagnostics", "model", "iii"),
+    ("data-diagnostics", "law", "normal"),
+    ("data-diagnostics", "N", "2000"),
+    ("data-diagnostics", "seed", "1"),
+    ("rate", "fixed_h", "0.2"),
 ])
 def test_option_a_command_does_not_read_is_refused(command, option, value, tmp_path,
                                                     caplog):
@@ -713,6 +749,17 @@ def test_option_a_command_does_not_read_is_refused(command, option, value, tmp_p
     assert not out.exists()
 
 
+def test_every_option_a_parser_takes_has_a_built_in_value():
+    # an option missing from _BUILT_IN is a KeyError when its command runs;
+    # a key no parser takes is a built-in value that nothing reads
+    commands = next(a.choices for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    assert set(commands) == set(_BUILT_IN)
+    for name, sub in commands.items():
+        dests = {a.dest for a in sub._actions if a.dest != "help"}
+        assert dests == set(_BUILT_IN[name]), name
+
+
 def test_readme_commands_parse():
     # every `poolreg ...` command in README's "Command line" block, as argv
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -721,7 +768,7 @@ def test_readme_commands_parse():
     commands = [shlex.split(line)[1:] for line in block.splitlines()
                 if line.startswith("poolreg ")]
     assert {argv[0] for argv in commands} == {
-        "estimate", "simulate", "rate", "overpool", "diagnostics"}
+        "estimate", "simulate", "rate", "overpool", "diagnostics", "data-diagnostics"}
     for argv in commands:
         build_parser().parse_args(argv)
 

@@ -261,7 +261,7 @@ class TestRateExperiment:
         model = constant_model(0.1)
         res = rate_experiment(
             model, nu=5, n_values=[500, 2000, 8000], replicates=40, seed=11,
-            fixed_h=0.25,
+            smoother=SmootherSpec(GAUSSIAN, 1, BandwidthRule.fixed(0.25)),
         )
         assert abs(res.slope - (-1.0)) <= 0.15
 
@@ -269,11 +269,11 @@ class TestRateExperiment:
         model = constant_model(0.1)
         res40 = rate_experiment(
             model, nu=5, n_values=[500, 2000, 8000], replicates=40, seed=11,
-            fixed_h=0.25,
+            smoother=SmootherSpec(GAUSSIAN, 1, BandwidthRule.fixed(0.25)),
         )
         res80 = rate_experiment(
             model, nu=5, n_values=[500, 2000, 8000], replicates=80, seed=11,
-            fixed_h=0.25,
+            smoother=SmootherSpec(GAUSSIAN, 1, BandwidthRule.fixed(0.25)),
         )
         lo, hi = res40.slope_band
         assert lo <= res40.slope <= hi
@@ -282,11 +282,23 @@ class TestRateExperiment:
     def test_scaled_bandwidths_follow_power_law(self):
         model = make_model("iii")
         res = rate_experiment(
-            model, nu=5, n_values=[250, 1000, 4000], replicates=4, seed=3, h_ref=0.3
+            model, nu=5, n_values=[250, 1000, 4000], replicates=4, seed=3
         )
         h0, h1, h2 = res.bandwidths
         np.testing.assert_allclose(h1 / h0, 4.0 ** (-0.2), rtol=1e-12)
         np.testing.assert_allclose(h2 / h0, 16.0 ** (-0.2), rtol=1e-12)
+
+    def test_cv_and_plugin_each_choose_h0(self):
+        # model iii, nu = 5, N0 = 2000: cv picks h0 = 0.130, the plug-in 0.190
+        h0 = {}
+        for rule in (BandwidthRule.cv(), BandwidthRule.plugin()):
+            res = rate_experiment(
+                make_model("iii"), nu=5, n_values=[2000, 4000, 8000], replicates=2,
+                seed=7, smoother=SmootherSpec(GAUSSIAN, 1, rule),
+            )
+            h0[rule.mode] = res.bandwidths[0]
+        assert h0["cross_validation"] == pytest.approx(0.130, abs=5e-4)
+        assert h0["plugin"] == pytest.approx(0.190, abs=5e-4)
 
     def test_needs_three_sizes(self):
         with pytest.raises(ValueError):
@@ -354,8 +366,12 @@ class TestBadNuRejectedBeforeReplicates:
         with pytest.raises(ValueError, match="nu must be >= 1"):
             rate_experiment(
                 make_model("iii"), 0, [100, 200, 400], replicates=2, seed=0,
-                fixed_h=0.2,
+                smoother=SmootherSpec(GAUSSIAN, 1, BandwidthRule.fixed(0.2)),
             )
+
+    def test_rate_experiment_before_its_pilot(self, no_sampling):
+        with pytest.raises(ValueError, match="nu must be >= 1"):
+            rate_experiment(make_model("iii"), 0, [100, 200, 400], replicates=2, seed=0)
 
     def test_overpooling_experiment(self, no_sampling):
         with pytest.raises(ValueError, match="nu must be >= 1"):
@@ -461,3 +477,72 @@ def test_nu_one_pooling_reproduces_ll(case):
                                   ll.bandwidth_used, grid)
         bound = np.maximum(1e-12, 1e3 * np.finfo(float).eps * cond)
         assert (np.abs(got.p_hat - ll.p_hat)[finite] <= bound[finite]).all(), name
+
+
+# ---------------------------------------------------------------------------
+# affine equivariance: x -> a x + b with h -> |a| h changes no estimate
+
+
+@st.composite
+def affine_cases(draw):
+    """A 0/1 sample on distinct covariates, a fixed h and a map x -> a x + b."""
+    n = 5 * draw(st.integers(10, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(size=n)
+    y = (rng.random(n) < 0.1 + 0.5 * x ** 2).astype(np.int8)
+    y[:2] = (0, 1)  # an all-positive sample leaves DM undefined
+    h = 10.0 ** draw(st.floats(-1.3, 0.0))
+    a = draw(st.sampled_from([-1.0, 1.0])) * 2.0 ** draw(st.floats(-2.0, 2.0))
+    return RawDataset(x, y), h, a, draw(st.floats(-5.0, 5.0))
+
+
+def _estimates(raw, smoother, grid):
+    out = {}
+    for name in ("DH", "DM", "LL"):
+        try:
+            out[name] = estimate_step(name, pool_step(name, raw, 5, None, 9), smoother,
+                                      grid)
+        except (BandwidthError, EstimationError) as exc:
+            out[name] = type(exc)
+    return out
+
+
+@pytest.mark.parametrize("mode", ["fixed", "cross_validation", "plugin"])
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("kern", [GAUSSIAN, EPANECHNIKOV, UNIFORM],
+                         ids=lambda k: k.family)
+@settings(max_examples=4, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(affine_cases())
+@example((RawDataset(np.random.default_rng(1).uniform(size=300),
+                     (np.random.default_rng(2).random(300) < 0.3).astype(np.int8)),
+          0.2, -2.0, 1.0))
+def test_affine_map_of_the_covariate_changes_no_estimate(kern, degree, mode, case):
+    """DH, DM and LL on a x + b, with h scaled by |a|, give the same curve.
+
+    A fixed h maps to |a| h; cv and plugin must choose |a| times their h on
+    the original scale.  With a < 0 the design and the grid reverse, and DH
+    forms the same pools from the other end.  DM keeps its pooling seed.
+    """
+    raw, h, a, b = case
+    rules = {"fixed": BandwidthRule.fixed(h), "cross_validation": BandwidthRule.cv(),
+             "plugin": BandwidthRule.plugin()}
+    smoother = SmootherSpec(kern, degree, rules[mode])
+    mapped = SmootherSpec(kern, degree, BandwidthRule.fixed(abs(a) * h)
+                          if mode == "fixed" else rules[mode])
+    grid = np.linspace(raw.covariates.min(), raw.covariates.max(), 41)
+    before = _estimates(raw, smoother, grid)
+    after = _estimates(RawDataset(a * raw.covariates + b, raw.responses), mapped,
+                       a * grid + b)
+    for name, old in before.items():
+        new = after[name]
+        if not isinstance(old, EstimateResult):
+            assert new is old, name
+            continue
+        np.testing.assert_allclose(new.bandwidth_used, abs(a) * old.bandwidth_used,
+                                   rtol=1e-12, err_msg=name)
+        np.testing.assert_array_equal(new.failures, old.failures)
+        finite = np.isfinite(old.p_hat)
+        np.testing.assert_array_equal(np.isfinite(new.p_hat), finite)
+        np.testing.assert_allclose(new.p_hat[finite], old.p_hat[finite], rtol=0,
+                                   atol=1e-10, err_msg=name)

@@ -11,7 +11,8 @@ linear and refuse any ``--degree`` but 1.
 ``estimate`` reads a file, checks the options that pooling needs, then pools
 and estimates through ``simulation.pool_step`` and ``estimate_step``, the
 steps every simulated replicate runs.  It refuses ``--nu`` where nothing
-pools: with pooled input, whose pool sizes fix nu, and with ``ll``.
+pools: with pooled input, whose pool sizes fix nu, and with ``ll``.  It
+refuses ``--seed`` except where ``dm`` pools individual data at random.
 
 Option precedence is CLI flag > config-file value > built-in default.  The
 config file (``--config``) is a flat JSON object keyed by long option names
@@ -200,6 +201,8 @@ def _cmd_estimate(opt) -> int:
             raise CliError(f"the {name} estimator needs individual-level input")
         if opt["nu"] is not None:
             raise CliError("--nu is not read with pooled input: its pool sizes fix nu")
+        if opt["seed"] is not None:
+            raise CliError("--seed is not read with pooled input: its pools are formed")
         x = data.member_covariates
     else:
         raw = pio.ingest_individual_csv(path)
@@ -208,6 +211,9 @@ def _cmd_estimate(opt) -> int:
             raise CliError("--nu is not read by the LL estimator, which does not pool")
         if name != "LL" and opt["nu"] is None:
             raise CliError("--nu is required to pool individual data")
+        if name != "DM" and opt["seed"] is not None:
+            raise CliError(f"--seed is not read by the {name} estimator: only DM "
+                           "pools at random")
         seed = _require_seed(opt, "random pooling") if name == "DM" else None
         x = raw.covariates.reshape(raw.n, -1)
         region = tuple(zip(x.min(axis=0).tolist(), x.max(axis=0).tolist()))
@@ -344,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = command("estimate", "estimate a prevalence curve from a file")
     p_est.add_argument("--input")
     p_est.add_argument("--grid", help="N | a:b:N")
-    p_est.add_argument("--seed", type=int, help="random pooling for dm")
+    p_est.add_argument("--seed", type=int, help="random pooling (dm only)")
     p_est.add_argument("--estimator", type=_estimator_name, choices=ESTIMATOR_NAMES,
                        help="case-insensitive")
     p_est.add_argument("--nu", type=float)

@@ -94,3 +94,36 @@ def test_traced_estimate_keeps_every_estimator_span(tmp_path):
     assert names.count("estimators.estimate") == len(runs)
     pooled = [n for n in names if n.startswith("pooling.")]
     assert pooled == [p for *_, p in runs if p is not None]
+
+
+def _exact_scorings_per_search(spans) -> list:
+    """loo_cv_score spans directly under each outermost select_bandwidth span."""
+    name = "smoothing.select_bandwidth"
+    searches = [i for i, (n, _, _, parent) in enumerate(spans)
+                if n == name and (parent is None or spans[parent][0] != name)]
+    return [sum(1 for n, _, _, parent in spans if n == name and parent == i)
+            for i in searches]
+
+
+@pytest.mark.parametrize("kernel", ["gaussian", "uniform"])
+def test_traced_table_cell_screens_the_bandwidth_search(kernel, tmp_path):
+    # a screen that silently fell back to scoring all 16 candidates would pass
+    # every correctness test and lose its speed; the uniform kernel has no
+    # binning error bound, so it must still score all 16
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        assert main(["simulate", "--model", "iii", "--N", "5000", "--nu", "5",
+                     "--estimator", "DH", "--estimator", "LL", "--replicates", "2",
+                     "--seed", "7", "--kernel", kernel, "--format", "json",
+                     "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == 0
+    per_search = _exact_scorings_per_search(tracer.spans)
+    assert len(per_search) == 4  # 2 replicates x DH and LL
+    assert sum(per_search) == tracer.counts["smoothing.cv_candidates"]
+    if kernel == "uniform":
+        assert per_search == [16] * 4
+    else:
+        assert max(per_search) < 16

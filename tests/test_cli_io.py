@@ -433,6 +433,16 @@ class TestCli:
          "--nu is not read by the LL estimator"),
         (["data-diagnostics", "--nu", "5"], "--input is required"),
         (["data-diagnostics", "--input", "NOY", "--nu", "5"], "no y column"),
+        (["estimate", "--input", "DATA", "--estimator", "dh", "--nu", "5",
+          "--seed", "3"], "--seed is not read by the DH estimator"),
+        (["estimate", "--input", "DATA", "--estimator", "ll", "--seed", "3"],
+         "--seed is not read by the LL estimator"),
+        (["estimate", "--input", "DATA", "--estimator", "dh_binned", "--nu", "4",
+          "--seed", "3"], "--seed is not read by the DH_binned estimator"),
+        (["estimate", "--input", "POOLED", "--estimator", "dm", "--seed", "3"],
+         "--seed is not read with pooled input"),
+        (["estimate", "--input", "POOLED", "--estimator", "dh", "--seed", "3"],
+         "--seed is not read with pooled input"),
     ])
     def test_bad_option_value_is_a_clean_error(self, argv, message, inputs,
                                                tmp_path, caplog):
@@ -723,6 +733,18 @@ def test_estimator_names_are_case_insensitive(spelling, name, data_csv, tmp_path
     assert [r.estimator for r in rows] == [name]
 
 
+# estimate parses --seed for dm's random pooling of individual data; a run
+# that would not read it refuses it after parsing, as a flag or a config key
+_PARSED_BUT_NOT_READ = {
+    "estimate dh": (["estimate", "--input", "DATA", "--estimator", "dh", "--nu", "5"],
+                    "--seed is not read by the DH estimator"),
+    "estimate ll": (["estimate", "--input", "DATA", "--estimator", "ll"],
+                    "--seed is not read by the LL estimator"),
+    "estimate pooled dm": (["estimate", "--input", "POOLED", "--estimator", "dm"],
+                           "--seed is not read with pooled input"),
+}
+
+
 @pytest.mark.parametrize("command, option, value", [
     ("simulate", "grid", "junk"),
     ("rate", "grid", "0:1:5"),
@@ -734,15 +756,28 @@ def test_estimator_names_are_case_insensitive(spelling, name, data_csv, tmp_path
     ("data-diagnostics", "N", "2000"),
     ("data-diagnostics", "seed", "1"),
     ("rate", "fixed_h", "0.2"),
+    ("estimate dh", "seed", "1"),
+    ("estimate ll", "seed", "1"),
+    ("estimate pooled dm", "seed", "1"),
 ])
-def test_option_a_command_does_not_read_is_refused(command, option, value, tmp_path,
-                                                    caplog):
+def test_option_a_command_does_not_read_is_refused(command, option, value, inputs,
+                                                    tmp_path, caplog):
     out = tmp_path / "o"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({option: value}))
+    if command in _PARSED_BUT_NOT_READ:
+        argv, message = _PARSED_BUT_NOT_READ[command]
+        argv = [inputs.get(a, a) for a in argv]
+        with caplog.at_level(logging.ERROR, logger="poolreg"):
+            assert main([*argv, f"--{option}", value, "--out", str(out)]) == 2
+            assert caplog.text.count(message) == 1
+            assert main(["--config", str(cfg), *argv, "--out", str(out)]) == 2
+        assert caplog.text.count(message) == 2
+        assert not out.exists()
+        return
     with pytest.raises(SystemExit) as exc:
         main([command, f"--{option}", value, "--out", str(out)])
     assert exc.value.code == 2
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({option: value}))
     with caplog.at_level(logging.ERROR, logger="poolreg"):
         assert main(["--config", str(cfg), command, "--out", str(out)]) == 2
     assert f"unknown config key(s) for {command}: {option}" in caplog.text

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from poolreg import (
@@ -11,6 +13,7 @@ from poolreg import (
     BandwidthRule,
     EPANECHNIKOV,
     GAUSSIAN,
+    RawDataset,
     SmootherSpec,
     UNIFORM,
     effective_weight_moments,
@@ -23,6 +26,7 @@ from poolreg import (
     select_bandwidth,
 )
 from poolreg import smoothing
+from poolreg.estimators import estimate_ll
 from poolreg.smoothing import _grid_fit_1d, grid_fit_with_widening, loo_cv_score
 
 ALL_KERNELS = [GAUSSIAN, EPANECHNIKOV, UNIFORM]
@@ -359,3 +363,166 @@ class TestBandwidthRuleValidation:
             BandwidthRule.cv(candidates=[])
         with pytest.raises(BandwidthError):
             BandwidthRule.cv(candidates=[0.1, -0.2])
+
+
+# ---------------------------------------------------------------------------
+# the CV screen returns the exhaustive search's choice
+
+
+def _exhaustive_choice(u, z, spec, cands, scores, nu, n_raw):
+    """select_bandwidth's choice from the exact score of every candidate."""
+    try:
+        h_cv = smoothing._cv_choice(cands, scores, z)
+    except BandwidthError as exc:
+        usable = smoothing._min_usable_h(u, spec.degree, spec.kernel)
+        raise BandwidthError(f"{exc}; smallest usable h is about {usable:.6g}") from None
+    if spec.bandwidth.mode == "cross_validation":
+        return h_cv
+    return smoothing._plugin_bandwidth(
+        u, z, spec, cands, h_cv, nu, n_raw, h_cv <= cands[1]
+    )
+
+
+@st.composite
+def screen_cases(draw):
+    """A design above the screen's size cut-off, a response on it and a smoother."""
+    J = draw(st.integers(smoothing._SCREEN_MIN_POINTS,
+                         4 * smoothing._SCREEN_MIN_POINTS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["uniform", "skewed", "clustered", "ties"]))
+    if layout == "uniform":
+        u = rng.uniform(size=J)
+    elif layout == "skewed":
+        u = rng.beta(0.6, 4.0, size=J)
+    elif layout == "clustered":
+        k = draw(st.integers(2, 5))
+        centers = rng.uniform(size=k)
+        spread = 10.0 ** rng.uniform(-3.5, -1.5, size=k)
+        pick = rng.integers(0, k, size=J)
+        u = centers[pick] + spread[pick] * rng.normal(size=J)
+    else:  # 2 to 5 distinct x values
+        k = draw(st.integers(2, 5))
+        pick = rng.integers(0, k, size=J)
+        pick[:k] = np.arange(k)
+        u = rng.uniform(size=k)[pick]
+    v = (u - u.min()) / np.ptp(u)
+    degree = draw(st.integers(1, 3))
+    response = draw(st.sampled_from(
+        ["rare", "even", "noiseless", "polynomial", "near_noiseless"]
+    ))
+    if response == "rare":  # binary, p near 0
+        z = (rng.random(J) < 0.005 + 0.03 * v).astype(float)
+    elif response == "even":  # binary, p near 0.5
+        z = (rng.random(J) < 0.5 + 0.1 * np.sin(5.0 * v)).astype(float)
+    elif response == "noiseless":
+        z = np.sin(2.0 * np.pi * v)
+    elif response == "polynomial":  # reproduced exactly: every score ties
+        z = np.polyval(rng.normal(size=degree + 1), v)
+    else:
+        z = np.sin(2.0 * np.pi * v) + 10.0 ** rng.uniform(-6, -3) * rng.normal(size=J)
+    rule = draw(st.sampled_from([BandwidthRule.cv(), BandwidthRule.plugin()]))
+    spec = SmootherSpec(draw(st.sampled_from(ALL_KERNELS)), degree, rule)
+    return u, z, spec
+
+
+def _tied_scores_case():
+    """A noiseless quadratic z: every exact score is zero to rounding, a tie
+    that goes to the smallest h, while the binned scores fall as h grows."""
+    u = np.random.default_rng(1).uniform(size=400)
+    return u, 0.5 + 2.0 * u - 3.0 * u * u, SmootherSpec(GAUSSIAN, 2, BandwidthRule.cv())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(screen_cases())
+@example(_tied_scores_case())
+def test_screened_search_returns_the_exhaustive_choice(case):
+    """select_bandwidth chooses what scoring every candidate exactly chooses.
+
+    Designs are uniform, skewed, clustered or on 2 to 5 distinct values; z is
+    binary with p near 0 or near 0.5, smooth and noiseless (a polynomial of
+    the fit's degree makes every score a tie), or smooth with a little noise.
+    The same BandwidthError is raised where every candidate fails.  Where the
+    binned and the exact score are both finite, the screen's error bound holds
+    with the factor 8 to spare that its constant was set with.
+    """
+    u, z, spec = case
+    cands = smoothing.default_candidates(u, spec.degree)
+    idx = smoothing._cv_eval_indices(
+        u, z, 800 if spec.bandwidth.mode == "cross_validation" else 300
+    )
+    scores = np.array(
+        [loo_cv_score(u, z, spec.degree, spec.kernel, h, idx) for h in cands]
+    )
+    root, lower = smoothing._screen_bounds(u, z, spec.degree, spec.kernel, cands, idx)
+    both = np.isfinite(scores) & np.isfinite(lower)
+    error = np.abs(root[both] - np.sqrt(scores[both]))
+    assert (error <= (root[both] - lower[both]) / 8).all()
+
+    design = design_of(u, z)
+    try:
+        want = _exhaustive_choice(u, z, spec, cands, scores, 5, 5 * u.size)
+    except BandwidthError as exc:
+        with pytest.raises(BandwidthError) as got:
+            select_bandwidth(design, spec, nu=5, n_raw=5 * u.size)
+        assert str(got.value) == str(exc)
+        return
+    assert select_bandwidth(design, spec, nu=5, n_raw=5 * u.size) == want
+
+
+# ---------------------------------------------------------------------------
+# tiny designs and heavy ties: pinned outcomes of the LL estimator
+
+
+_TINY = {  # name: (x, y, degree)
+    "J = 2(degree+1), degree 1": ([0.1, 0.35, 0.6, 0.9], [0, 1, 0, 1], 1),
+    "J = 2(degree+1), degree 2": ([0.05, 0.2, 0.45, 0.5, 0.8, 0.95],
+                                  [0, 0, 1, 0, 1, 1], 2),
+    "8 rows on 2 x values": ([0.2] * 4 + [0.7] * 4, [0, 1, 0, 0, 1, 1, 0, 1], 1),
+    "J < 2(degree+1)": ([0.1, 0.5, 0.9], [0, 1, 1], 1),
+}
+_FOUR = [0.15802569663193278, 0.4311910184889179, 0.48592148395341606,
+         0.5815913556181669, 0.8963776309903306]
+_SIX = [0.0, 0.23318550155300088, 0.5204694544918355, 0.7994676885875784, 1.0]
+_TIES = [0.25, 0.375, 0.5, 0.625, 0.75]
+_TINY_PINS = [  # (case, rule, h or the BandwidthError text, p_hat, clamp flags)
+    ("J = 2(degree+1), degree 1", "cv", 0.26666666666666666, _FOUR, [0] * 5),
+    ("J = 2(degree+1), degree 1", "plugin", 0.26666666666666666, _FOUR, [0] * 5),
+    ("J = 2(degree+1), degree 1", "fixed", 0.3,
+     [0.18985726632602817, 0.414024688691453, 0.4925187332873627,
+      0.5995485238561361, 0.8642387769942036], [0] * 5),
+    ("J = 2(degree+1), degree 2", "cv", 0.3, _SIX, [1, 0, 0, 0, 2]),
+    ("J = 2(degree+1), degree 2", "plugin", 0.3, _SIX, [1, 0, 0, 0, 2]),
+    ("J = 2(degree+1), degree 2", "fixed", 0.3, _SIX, [1, 0, 0, 0, 2]),
+    ("8 rows on 2 x values", "cv", 0.06635119509224952, _TIES, [0] * 5),
+    ("8 rows on 2 x values", "plugin", 0.16666666666666666, _TIES, [0] * 5),
+    ("8 rows on 2 x values", "fixed", 0.3, _TIES, [0] * 5),
+    ("J < 2(degree+1)", "cv", "need at least 4 design points, got 3", None, None),
+    ("J < 2(degree+1)", "plugin", "need at least 4 design points, got 3", None, None),
+    ("J < 2(degree+1)", "fixed", 0.3,
+     [0.021864153054238, 0.4541985862434039, 0.7743898887159483,
+      0.9541985862434038, 1.0], [0, 0, 0, 0, 2]),
+]
+
+
+@pytest.mark.parametrize("case, rule, h, p_hat, clamped", _TINY_PINS)
+def test_tiny_and_tied_designs_keep_their_outcome(case, rule, h, p_hat, clamped):
+    """Self-oracle pins, computed once and frozen, on designs the screen leaves exact.
+
+    Every grid point fits; the two x values give the line through their means.
+    """
+    x, y, degree = _TINY[case]
+    raw = RawDataset(np.array(x), np.array(y, dtype=np.int8))
+    bandwidth = {"cv": BandwidthRule.cv(), "plugin": BandwidthRule.plugin(),
+                 "fixed": BandwidthRule.fixed(0.3)}[rule]
+    spec = SmootherSpec(GAUSSIAN, degree, bandwidth)
+    grid = np.linspace(min(x), max(x), 5)
+    if isinstance(h, str):
+        with pytest.raises(BandwidthError, match=h):
+            estimate_ll(raw, spec, grid)
+        return
+    res = estimate_ll(raw, spec, grid)
+    assert abs(res.bandwidth_used - h) < 1e-12
+    np.testing.assert_allclose(res.p_hat, p_hat, rtol=0, atol=1e-10)
+    assert res.failures.tolist() == [0] * 5
+    assert res.clamp_flags.tolist() == clamped

@@ -23,7 +23,10 @@ the design first (Fan & Marron 1994): FFT convolutions give all candidates'
 binned scores for about the cost of one exact score.  A bound on the binning
 error (Hall & Wand 1996) then rules candidates out, and every candidate it
 cannot rule out is scored exactly by ``loo_cv_score``, so the choice is the
-exhaustive search's (see ``select_bandwidth``).
+exhaustive search's (see ``select_bandwidth``).  The d-variate search screens
+the same way with exact moments on the lattice of the design's distinct
+values per axis, where the gaussian weights factor (Wand 1994); only rounding
+separates them from the exact scores (see ``select_bandwidth_multi``).
 """
 
 from __future__ import annotations
@@ -484,11 +487,17 @@ _SCREEN_MIN_POINTS = 150
 _SCREEN_ERROR = 1.25
 
 
-def default_candidates(u: np.ndarray, degree: int, n: int = 16) -> np.ndarray:
-    """Geometric bandwidth grid spanning the design: [span/50 .. span/3]."""
-    span = float(np.ptp(u))
+def _design_span(u: np.ndarray) -> float:
+    """Largest coordinate range of a (J,) or (J, d) design; no h fits a single point."""
+    span = float(np.ptp(u, axis=0).max())
     if span <= 0.0:
         raise BandwidthError("design points are all identical")
+    return span
+
+
+def default_candidates(u: np.ndarray, degree: int, n: int = 16) -> np.ndarray:
+    """Geometric bandwidth grid spanning the design: [span/50 .. span/3]."""
+    span = _design_span(u)
     J = u.shape[0]
     lo = span * max((degree + 2) / max(J, 1), 0.02)
     hi = span / 3.0
@@ -677,25 +686,26 @@ def _screen_bounds(u, z, degree, kern: Kernel, cands, eval_idx):
     return np.where(usable, root, np.inf), np.where(usable, lower, -np.inf)
 
 
-def _cv_scores(u, z, degree, kern: Kernel, cands, eval_idx) -> np.ndarray:
+def _cv_scores(root, lower, score, z) -> np.ndarray:
     """Exact LOO CV score of every candidate that could be chosen; inf for the rest.
 
-    Candidates are scored exactly with ``loo_cv_score``, the binned best first
-    and then in order of their lower bounds (``_screen_bounds``).  The search
-    stops at the first candidate whose bound proves its score above the best
-    exact score so far plus ``_cv_tie``: it and every later candidate could not
-    be chosen, or tie the choice, and keep an infinite score.  Without bounds
-    every candidate is scored, in grid order.
+    ``root`` is each candidate's screened root score, ``lower`` a lower bound on
+    the root of its exact score, and ``score(i)`` scores candidate i exactly.
+    Candidates are scored exactly, the screened best first and then in order of
+    their lower bounds.  The search stops at the first candidate whose bound
+    proves its score above the best exact score so far plus ``_cv_tie``: it and
+    every later candidate could not be chosen, or tie the choice, and keep an
+    infinite score.  Without bounds (root inf, lower -inf) every candidate is
+    scored, in grid order: the exhaustive search.
     """
-    root, lower = _screen_bounds(u, z, degree, kern, cands, eval_idx)
     first = int(np.argmin(root))
     order = np.argsort(lower, kind="stable")
-    scores = np.full(cands.shape[0], np.inf)
+    scores = np.full(root.shape[0], np.inf)
     best = math.inf
     for i in np.r_[first, order[order != first]]:
         if lower[i] > 0.0 and lower[i] ** 2 > best + _cv_tie(best, z):
             break
-        scores[i] = loo_cv_score(u, z, degree, kern, cands[i], eval_idx)
+        scores[i] = score(i)
         best = min(best, scores[i])
     return scores
 
@@ -740,6 +750,7 @@ def select_bandwidth(
             f"need at least {2 * (spec.degree + 1)} design points, got {J}"
         )
 
+    _design_span(u)
     if rule.candidates is not None:
         cands = np.sort(np.asarray(rule.candidates, dtype=float))
     else:
@@ -748,7 +759,10 @@ def select_bandwidth(
     # the plug-in only needs the CV value as a pilot scale, so it can afford
     # a cheaper scoring subset than the pure-CV mode
     eval_idx = _cv_eval_indices(u, z, 800 if rule.mode == "cross_validation" else 300)
-    scores = _cv_scores(u, z, spec.degree, spec.kernel, cands, eval_idx)
+    scores = _cv_scores(
+        *_screen_bounds(u, z, spec.degree, spec.kernel, cands, eval_idx),
+        lambda i: loo_cv_score(u, z, spec.degree, spec.kernel, cands[i], eval_idx), z,
+    )
     try:
         h_cv = _cv_choice(cands, scores, z)
     except BandwidthError as exc:
@@ -872,25 +886,146 @@ def grid_fit_local_linear_multi(
     return out
 
 
+# Constant of the lattice screen's rounding bound (see ``_lattice_bounds``):
+# 20 times the largest error seen, |sqrt(lattice) - sqrt(exact)| = 0.81 bounds,
+# over about 21,500 candidate scores on dense, sparse and Beta-distributed
+# binned designs in d = 2 and 3 with binary and smooth z, default and
+# explicit grids, and 70 x 70-bin designs like the binned_2d benchmark's.
+_LATTICE_ERROR = 16.0
+
+
+def _lattice_bounds(centers, z, kern: Kernel, cands, picks):
+    """Lattice root CV score of each candidate, and a lower bound on the exact one.
+
+    Every design lies on the tensor-product lattice of its distinct values per
+    axis, and the gaussian profile factors over the axes: exp(-|t|^2/2) is the
+    product of exp(-t_k^2/2).  With F the count of design points (or the sum
+    of their z) at each lattice node and ``K_k[p][a, i] = t^p exp(-t^2/2)``,
+    ``t = (v_i - v_a)/h`` over axis k's values v, every local linear moment
+    ``sum_j w_j t_1^p1 .. t_d^pd`` (and its z-weighted twin) at every node is
+    F contracted one axis at a time with ``K_k[p_k]``: ``K_1[p] @ F @ K_2[q]^T``
+    for d = 2.  No point moves, so the moments are the exact engine's to
+    rounding; the count of weighted points is contracted from the indicators
+    ``K_k[0] > 0`` and can exceed the engine's where far weights underflow.
+    At the scoring points ``picks`` the moments give value and leverage as in
+    ``_intercept_fit`` and the LOO residuals as in ``_loo_score``.
+
+    Rounding in the sums moves a moment by a few ulps of the moment matrix's
+    norm, and the solve amplifies that by its condition number, so the bound
+    taken is ``|sqrt(lattice) - sqrt(exact)| <= E`` with
+
+        E = _LATTICE_ERROR * eps * max|z| * RMS_i(kappa_i / (1 - l_i)^2),
+
+    kappa_i the Frobenius condition number at scoring point i and l_i its
+    leverage (see ``_screen_bounds`` for the same form).
+
+    The lattice is used when its matrix work, ``prod(n_k) * sum(n_k)`` over
+    the n_k distinct values per axis, is less than the exact search's
+    ``J * len(picks)`` kernel weights per candidate.  Returns (root, lower):
+    root is inf and lower -inf for a candidate whose lattice fit fails, and
+    for every candidate with a kernel other than the gaussian, a design that
+    is not worth a lattice, or a non-finite design or z.
+    """
+    C = cands.shape[0]
+    J, d = centers.shape
+    axes = [np.unique(centers[:, k], return_inverse=True) for k in range(d)]
+    shape = tuple(v.size for v, _ in axes)
+    size = math.prod(shape)
+    if (kern.family != "gaussian" or size * sum(shape) >= J * picks.shape[0]
+            or not (np.isfinite(centers).all() and np.isfinite(z).all())):
+        return np.full(C, np.inf), np.full(C, -np.inf)
+
+    node = np.ravel_multi_index(tuple(inv.ravel() for _, inv in axes), shape)
+    sources = (np.bincount(node, minlength=size).astype(float).reshape(shape),
+               np.bincount(node, z, size).reshape(shape))
+    at = np.unravel_index(node[picks], shape)
+    # the basis (1, t_1, .., t_d) as exponents per axis; moments as (source,
+    # exponents), the last the count, whose "exponent" 3 is the indicator
+    n = d + 1
+    iu, ju = np.triu_indices(n)
+    powers = np.vstack([np.zeros(d, dtype=int), np.eye(d, dtype=int)])
+    jobs = ([(0, tuple(e)) for e in powers[iu] + powers[ju]]
+            + [(1, tuple(e)) for e in powers] + [(0, (3,) * d)])
+
+    n_pairs = iu.size
+    z_at = z[picks]
+    scale = _LATTICE_ERROR * np.finfo(float).eps * float(np.abs(z).max())
+    root = np.full(C, np.inf)
+    lower = np.full(C, -np.inf)
+    S = np.empty((picks.shape[0], n, n))
+    for c, h in enumerate(cands):
+        mats = []
+        for v, _ in axes:
+            t = (v[None, :] - v[:, None]) / h
+            k0 = kern.radial_profile(t * t)
+            mats.append((k0, t * k0, t * t * k0, (k0 > 0.0).astype(float)))
+        done = {}
+        G = np.stack([_contract(sources, mats, src, e, done)[at] for src, e in jobs],
+                     axis=1)
+        S[:, iu, ju] = G[:, :n_pairs]
+        S[:, ju, iu] = G[:, :n_pairs]
+        S_inv, rel_piv = _solve_batched(S, np.broadcast_to(np.eye(n), S.shape))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            kappa = np.sqrt(np.einsum("cij,cij->c", S, S)
+                            * np.einsum("cij,cij->c", S_inv, S_inv))
+            value = np.einsum("ck,ck->c", S_inv[:, :, 0], G[:, n_pairs:-1])
+            # radial_profile(0) == 1, so the leverage is a_0
+            denom = 1.0 - S_inv[:, 0, 0]
+            root_c = np.sqrt(np.mean(((z_at - value) / denom) ** 2))
+            err = scale * np.sqrt(np.mean((kappa / denom**2) ** 2))
+        usable = (G[:, -1] >= n) & (rel_piv >= PIVOT_REL_TOL) & (denom > 1e-10)
+        if usable.all() and np.isfinite(root_c) and np.isfinite(err):
+            root[c], lower[c] = root_c, root_c - err
+    return root, lower
+
+
+def _contract(sources, mats, src, e, done):
+    """``sources[src]`` with its last len(e) axes k contracted by ``mats[k][e_k]``.
+
+    Contractions are memoised in ``done`` by (src, e), so moments that share
+    their exponents on the last axes share that work.
+    """
+    if not e:
+        return sources[src]
+    if (src, e) not in done:
+        k = len(mats) - len(e)
+        inner = _contract(sources, mats, src, e[1:], done)
+        done[src, e] = np.moveaxis(np.tensordot(mats[k][e[0]], inner, axes=(1, k)), 0, k)
+    return done[src, e]
+
+
 def select_bandwidth_multi(
     centers: np.ndarray,
     z: np.ndarray,
     kern: Kernel,
     rule: BandwidthRule,
 ) -> float:
-    """Leave-one-out CV bandwidth for the d-variate local linear smoother."""
+    """Leave-one-out CV bandwidth for the d-variate local linear smoother.
+
+    The LOO score is taken at up to 400 design points.  The search is screened
+    like ``select_bandwidth``'s (``_cv_scores``): every candidate first gets a
+    lattice score from exact moments on the tensor-product lattice of the
+    design's distinct values per axis, and a bound on that score's rounding
+    error (``_lattice_bounds``).  Candidates are then scored exactly through
+    ``grid_fit_local_linear_multi``, the lattice best first, until the bounds
+    prove every remaining one worse than the best exact score by more than
+    ``_cv_choice``'s tie tolerance; those keep an infinite score.  A candidate
+    whose lattice fit fails is always scored exactly.  The choice, and the
+    BandwidthError where every candidate fails, are the exhaustive search's.
+    Every candidate is scored exactly, in grid order, with a kernel other than
+    the gaussian and on a design whose lattice costs more than that search.
+    """
     if rule.mode == "fixed":
         return float(rule.h)
     if rule.mode == "plugin":
         raise BandwidthError("plugin bandwidths are univariate; use cv or fixed")
     centers = np.asarray(centers, dtype=float)
+    z = np.asarray(z, dtype=float)
     J, d = centers.shape
+    span = _design_span(centers)
     if rule.candidates is not None:
         cands = np.sort(np.asarray(rule.candidates, dtype=float))
     else:
-        span = float(np.ptp(centers, axis=0).max())
-        if span <= 0.0:
-            raise BandwidthError("design points are all identical")
         lo = span * max((d + 2) / max(J, 1), 0.01)
         cands = np.geomspace(min(lo, span / 4.0), span / 2.0, 16)
 
@@ -899,13 +1034,13 @@ def select_bandwidth_multi(
     else:
         picks = np.arange(J)
 
-    scores = np.array([
-        _loo_score(
+    def exact(i):
+        return _loo_score(
             grid_fit_local_linear_multi(
-                centers, z, kern, float(h), centers[picks], want_self_weight=True
+                centers, z, kern, float(cands[i]), centers[picks], want_self_weight=True
             ),
             z[picks],
         )
-        for h in cands
-    ])
+
+    scores = _cv_scores(*_lattice_bounds(centers, z, kern, cands, picks), exact, z)
     return _cv_choice(cands, scores, z)

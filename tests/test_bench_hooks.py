@@ -10,9 +10,11 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from poolreg import (
+    RawDataset,
     make_model,
     pool_homogeneous,
     pool_random,
@@ -127,3 +129,32 @@ def test_traced_table_cell_screens_the_bandwidth_search(kernel, tmp_path):
         assert per_search == [16] * 4
     else:
         assert max(per_search) < 16
+
+
+@pytest.mark.parametrize("kernel", ["gaussian", "uniform"])
+def test_traced_binned_estimate_screens_the_bandwidth_search(kernel, tmp_path):
+    # a lattice screen that silently fell back to the exact search would pass
+    # every correctness test and lose its speed; only the gaussian profile
+    # factors over the axes, so the uniform kernel must still score all 16
+    rng = np.random.default_rng(7)
+    x = rng.uniform(size=(2 * 70 * 70, 2))
+    y = (rng.random(x.shape[0]) < 0.02 + 0.1 * x[:, 0] * x[:, 1]).astype(np.int8)
+    path = write_individual_csv(RawDataset(x, y), tmp_path / "bivariate.csv")
+    tracer = _tracing().Tracer()
+    tracer.install()
+    try:
+        assert main(["estimate", "--input", str(path), "--estimator", "dh_binned",
+                     "--nu", "2", "--bandwidth", "cv", "--kernel", kernel,
+                     "--out", str(tmp_path / "out")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == 0
+    searches = [i for i, span in enumerate(tracer.spans)
+                if span[0] == "smoothing.select_bandwidth_multi"]
+    assert len(searches) == 1
+    exact = sum(1 for name, _, _, parent in tracer.spans
+                if name == "smoothing.grid_fit_multi" and parent == searches[0])
+    if kernel == "uniform":
+        assert exact == 16
+    else:
+        assert exact < 16

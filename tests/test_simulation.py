@@ -399,7 +399,7 @@ def test_overpooling_rows_equal_run_cell_on_the_same_streams():
 
 
 @st.composite
-def nu_one_cases(draw):
+def nu_one_cases(draw, degrees=(1, 2)):
     """A 0/1 sample, on distinct or heavily tied covariates, and a smoother."""
     n = draw(st.integers(8, 300))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -414,7 +414,7 @@ def nu_one_cases(draw):
         BandwidthRule.fixed(10.0 ** draw(st.floats(-2.0, 0.0))),
     ]))
     kern = draw(st.sampled_from([GAUSSIAN, EPANECHNIKOV, UNIFORM]))
-    smoother = SmootherSpec(kern, draw(st.integers(1, 2)), rule)
+    smoother = SmootherSpec(kern, draw(st.integers(*degrees)), rule)
     return RawDataset(x, y), smoother, draw(st.integers(0, 2**32 - 1))
 
 
@@ -477,6 +477,14 @@ def test_nu_one_pooling_reproduces_ll(case):
                                   ll.bandwidth_used, grid)
         bound = np.maximum(1e-12, 1e3 * np.finfo(float).eps * cond)
         assert (np.abs(got.p_hat - ll.p_hat)[finite] <= bound[finite]).all(), name
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(nu_one_cases(degrees=(3, 3)))
+def test_nu_one_pooling_reproduces_ll_at_degree_3(case):
+    """The degree-1 and -2 check above, with its bound, on local cubic fits."""
+    test_nu_one_pooling_reproduces_ll.hypothesis.inner_test(case)
 
 
 # ---------------------------------------------------------------------------

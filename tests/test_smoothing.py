@@ -1,10 +1,11 @@
 """Kernel and local-polynomial engine tests, oracle values first."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -20,6 +21,7 @@ from poolreg import (
     kernel,
     local_poly_fit,
     make_model,
+    pool_binned,
     pool_homogeneous,
     sample_replicate,
     seed_stream,
@@ -526,3 +528,125 @@ def test_tiny_and_tied_designs_keep_their_outcome(case, rule, h, p_hat, clamped)
     np.testing.assert_allclose(res.p_hat, p_hat, rtol=0, atol=1e-10)
     assert res.failures.tolist() == [0] * 5
     assert res.clamp_flags.tolist() == clamped
+
+
+# ---------------------------------------------------------------------------
+# the d-variate CV search
+
+
+def _binned_design(seed, d, bins, nu, law="uniform"):
+    """Centres and z* of ``nu * bins^d`` points on [0, 1]^d pooled into bins.
+
+    p(x) = 0.02 + 0.1 x_1 x_2, as in the benchmark's binned_2d workload.
+    ``law`` "beta" draws each axis from Beta(2, 3), leaving the far corner's
+    bins empty; nu < 1 leaves most bins empty.
+    """
+    rng = np.random.default_rng(seed)
+    N = int(round(nu * bins**d))
+    x = rng.uniform(size=(N, d)) if law == "uniform" else rng.beta(2.0, 3.0, (N, d))
+    y = (rng.random(N) < 0.02 + 0.1 * x[:, 0] * x[:, 1]).astype(np.int8)
+    pooled = pool_binned(RawDataset(x, y), N / bins**d)
+    return pooled.centers(), pooled.z_star()
+
+
+_MULTI_PINS = [  # (seed, d, bins, nu, law, kernel, h)
+    (11, 2, 70, 10, "uniform", GAUSSIAN, 0.2925443542330829),
+    (17, 2, 70, 10, "uniform", GAUSSIAN, 0.1030701844697112),
+    (15, 3, 14, 0.5, "beta", GAUSSIAN, 0.16357866260496293),
+    (21, 2, 40, 10, "beta", EPANECHNIKOV, 0.13232785880900175),
+]
+
+
+@pytest.mark.parametrize("seed, d, bins, nu, law, kern, h", _MULTI_PINS)
+def test_cv_pin_binned_designs(seed, d, bins, nu, law, kern, h):
+    """Self-oracle pins of select_bandwidth_multi, computed once and frozen.
+
+    Two 70 x 70 designs built like the binned_2d workload (mean occupancy 10),
+    a sparse d = 3 design with most bins empty and an epanechnikov search.
+    """
+    centers, z = _binned_design(seed, d, bins, nu, law)
+    got = smoothing.select_bandwidth_multi(centers, z, kern, BandwidthRule.cv())
+    assert abs(got - h) < 1e-12
+
+
+@pytest.mark.parametrize("candidates", [None, [0.1, 0.2]])
+def test_identical_design_points_are_refused_before_scoring(candidates):
+    """No h fits a polynomial through points that all share one x."""
+    rule = BandwidthRule.cv(candidates)
+    z = np.array([0.0, 1.0] * 4)
+    with pytest.raises(BandwidthError, match="^design points are all identical$"):
+        select_bandwidth(design_of([0.5] * 8, z), SmootherSpec(GAUSSIAN, 1, rule))
+    with pytest.raises(BandwidthError, match="^design points are all identical$"):
+        smoothing.select_bandwidth_multi(np.full((8, 2), 0.5), z, GAUSSIAN, rule)
+
+
+@st.composite
+def lattice_cases(draw):
+    """A binned design in d = 2 or 3, a response on it, a kernel and a cv rule."""
+    d = draw(st.sampled_from([2, 3]))
+    bins = draw(st.integers(3, 30 if d == 2 else 10))
+    occupancy = draw(st.sampled_from(["dense", "sparse", "beta"]))
+    nu = {"dense": 6.0, "sparse": 0.4, "beta": 2.0}[occupancy]
+    centers, z = _binned_design(draw(st.integers(0, 2**32 - 1)), d, bins, nu,
+                                "beta" if occupancy == "beta" else "uniform")
+    assume(np.ptp(centers, axis=0).max() > 0.0)
+    if draw(st.booleans()):  # smooth z, noiseless or nearly so
+        noise = draw(st.sampled_from([0.0, 1e-6, 1e-3]))
+        z = (np.sin(3.0 * centers[:, 0]) + centers[:, 1] ** 2
+             + noise * np.cos(17.0 * centers.sum(axis=1)))
+    rule = BandwidthRule.cv()
+    if draw(st.booleans()):  # down to h where adjacent nodes' weights underflow
+        logs = draw(st.lists(st.floats(np.log10(1.0 / (40 * bins)), np.log10(0.7)),
+                             min_size=1, max_size=5))
+        rule = BandwidthRule.cv([10.0**v for v in logs])
+    return centers, z, draw(st.sampled_from(ALL_KERNELS)), rule
+
+
+def _underflow_case():
+    """Adjacent nodes are 30 h apart per axis: each axis factor of a diagonal
+    neighbour's weight is about 1e-196, their product underflows to 0, so the
+    lattice counts points the exact engine does not."""
+    centers, z = _binned_design(5, 2, 10, 6.0)
+    return centers, z, GAUSSIAN, BandwidthRule.cv([0.1 / 30, 0.03, 0.1, 0.3])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(lattice_cases())
+@example(_underflow_case())
+def test_lattice_search_returns_the_exhaustive_choice(case):
+    """select_bandwidth_multi chooses what scoring every candidate exactly chooses.
+
+    Designs are dense, sparse (most bins empty) or Beta-distributed binned
+    pools in d = 2 or 3, with binary z* or smooth z; the grid is the default
+    one or explicit candidates down to an h where far weights underflow.  The
+    oracle is ``_cv_choice`` over the exact score of every candidate, or the
+    same BandwidthError.  Where the lattice and the exact score are both
+    finite, the lattice's rounding bound holds with a factor 8 to spare.
+    """
+    centers, z, kern, rule = case
+    with mock.patch.object(smoothing, "_lattice_bounds",
+                           wraps=smoothing._lattice_bounds) as spy:
+        try:
+            got = smoothing.select_bandwidth_multi(centers, z, kern, rule)
+        except BandwidthError as exc:
+            got = str(exc)
+    _, _, _, cands, picks = spy.call_args.args
+    scores = np.array([
+        smoothing._loo_score(
+            smoothing.grid_fit_local_linear_multi(
+                centers, z, kern, h, centers[picks], want_self_weight=True
+            ),
+            z[picks],
+        )
+        for h in cands
+    ])
+    root, lower = smoothing._lattice_bounds(*spy.call_args.args)
+    both = np.isfinite(scores) & np.isfinite(lower)
+    error = np.abs(root[both] - np.sqrt(scores[both]))
+    assert (error <= (root[both] - lower[both]) / 8).all()
+    try:
+        want = smoothing._cv_choice(cands, scores, z)
+    except BandwidthError as exc:
+        want = str(exc)
+    assert got == want

@@ -161,12 +161,6 @@ def _require_seed(opt, what: str) -> int:
     return opt["seed"]
 
 
-def _sniff_pooled(path: Path) -> bool:
-    with path.open() as fh:
-        first = fh.readline()
-    return first.split(",")[0].strip() == "group_id"
-
-
 def _input_path(opt) -> Path:
     if opt["input"] is None:
         raise CliError("--input is required")
@@ -193,7 +187,7 @@ def _cmd_estimate(opt) -> int:
     spec = _smoother(opt)
     gridspec = _parse_grid(opt["grid"])
 
-    if _sniff_pooled(path):
+    if pio.is_pooled_csv(path):
         data = pio.ingest_pooled_csv(path)
         log.info("ingested %d pooled groups (strategy %s)", data.n_groups,
                  data.strategy)

@@ -1,11 +1,15 @@
 """CSV/JSON codecs for datasets and result files.
 
 All numbers are serialized with 17 significant digits so that every emitted
-file re-ingests to the exact in-memory values.  Every CSV file is read by one
-row reader (``_read_rows``: blank rows are skipped, every other row must be
-as wide as the header) and written by one row writer (``_write_rows``); the
-individual and pooled codecs and the result codec add only their header
-checks and cell parsing.  Result files go through one codec,
+file re-ingests to the exact in-memory values.  Every CSV file is written by
+one row writer (``_write_rows``) and read by one row reader (``_read_rows``:
+UTF-8 text, blank rows are skipped, every other row must be as wide as the
+header), except the rows of a data file that one vectorised numpy parse
+(``_parse_body``) reads.  That parse names no fault: wherever it could read
+other values than the row reader, or finds a fault, the file is read row by
+row and the row loop names the first fault.  The individual and pooled
+codecs and the result codec add only their header checks and cell parsing.
+Result files go through one codec,
 ``write_result`` / ``read_result``, driven by a per-type spec (``_SPECS``):
 the file suffix picks CSV or JSON, CSV column orders are fixed and JSON
 payloads carry a schema tag.
@@ -83,23 +87,32 @@ def _read_rows(path: Path):
     """Yield a CSV file's stripped header, then ``(row number, cells)`` per row.
 
     Blank rows are skipped; every other row must be as wide as the header.
-    Row numbers count the header as row 1.
+    Row numbers count the header as row 1.  The file is read as UTF-8.
     """
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataFormatError(f"{path}: empty file")
-        header = [h.strip() for h in header]
-        yield header
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
-                )
-            yield i, row
+        i = 0  # the last row read
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            i = 1
+            yield header
+            for i, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise DataFormatError(
+                        f"{path}: row {i} has {len(row)} cells, expected {len(header)}"
+                    )
+                yield i, row
+        except csv.Error as exc:  # e.g. a cell longer than the csv field limit
+            raise DataFormatError(f"{path}: unreadable row {i + 1}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise DataFormatError(
+                f"{path}: not UTF-8 text: byte {exc.object[exc.start]:#04x} "
+                "cannot be decoded") from None
 
 
 def _write_rows(path: Path, header: list[str], rows) -> Path:
@@ -109,6 +122,80 @@ def _write_rows(path: Path, header: list[str], rows) -> Path:
         writer.writerow(header)
         writer.writerows(rows)
     return path
+
+
+# ---------------------------------------------------------------------------
+# data files: one vectorised parse of the body, the row loop where it is in doubt
+
+_ID_WIDTH = 32  # bytes per group_id in the vectorised parse; a longer id is read by rows
+
+
+def is_pooled_csv(path) -> bool:
+    """Whether a data CSV's header is a pooled file's: it starts with group_id."""
+    rows = _read_rows(Path(path))
+    header = next(rows)
+    rows.close()
+    return header[:1] == ["group_id"]
+
+
+def _plain_text(path: Path) -> bool:
+    """Whether numpy's parse of a data file reads the cells the csv module reads.
+
+    Not where the text is not ASCII (``float`` reads digits numpy does not,
+    and ``str.strip`` strips non-ASCII spaces) or holds a quote (the csv
+    module unquotes cells), a NUL (fixed-width bytes drop trailing NULs) or
+    a byte in 0x1c-0x1f (numpy strips them around a number, ``float`` does
+    not); not where a line is longer than the csv module's field limit or
+    none follows the header.
+    """
+    data = path.read_bytes()
+    if not data.isascii() or any(c in data for c in b'"\x00\x1c\x1d\x1e\x1f'):
+        return False
+    breaks = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    return (b"\n" in data.rstrip()
+            and np.diff(breaks, prepend=-1, append=len(data)).max()
+            <= csv.field_size_limit())
+
+
+def _parse_body(path: Path, d: int, ids: bool, result: bool):
+    """A data CSV's rows after the header in one numpy parse, or None.
+
+    Returns ``(group ids, x, results)``: ids as ``_ID_WIDTH``-byte strings,
+    ``x`` as the row loop shapes it and results as int8; an absent column is
+    None.  Nothing here names a fault.  None hands the file to the row loop,
+    which reads it and names its first fault, if it has one.  It is returned
+    wherever this parse could read other values than the row loop: text
+    that is not ``_plain_text``, any parse error (a malformed number, a row
+    of another width), a non-finite covariate, or a result cell other than
+    exactly ``0`` or ``1`` (it is read as two bytes, so ``10`` is not read
+    as ``1``).  Ids are checked after grouping (``_group_by_id``).
+    """
+    if not _plain_text(path):
+        return None
+    fields = [("x", float, (d,))]
+    if ids:
+        fields.insert(0, ("id", f"S{_ID_WIDTH}"))
+    if result:
+        fields.append(("result", "S2"))
+    # newline=None ends lines where the csv module does (\r, \n, \r\n), and
+    # comments=None keeps the '#' lines that the row loop rejects
+    with path.open(encoding="utf-8") as fh:
+        try:
+            table = np.loadtxt(fh, fields, delimiter=",", comments=None, skiprows=1,
+                               ndmin=1)
+        except ValueError:
+            return None
+    x = table["x"]
+    if not np.isfinite(x).all():
+        return None
+    results = None
+    if result:
+        one = table["result"] == b"1"
+        if not (one | (table["result"] == b"0")).all():
+            return None
+        results = one.astype(np.int8)
+    return (table["id"] if ids else None,
+            np.ascontiguousarray(x[:, 0] if d == 1 else x), results)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +214,9 @@ def ingest_individual_csv(path) -> RawDataset:
         raise DataFormatError(
             f"{path}: covariate header must be {expected}, got {x_cols}"
         )
+    parsed = _parse_body(path, len(x_cols), ids=False, result=has_y)
+    if parsed is not None:
+        return RawDataset(*parsed[1:])
     xs, ys = [], []
     for i, row in rows:
         xs.append([_parse_float(c, i, col, path) for c, col in zip(row, x_cols)])
@@ -176,6 +266,54 @@ def ingest_pooled_csv(path) -> PooledDataset:
         raise DataFormatError(
             f"{path}: covariate columns must be {expected}, got {x_cols}"
         )
+    d = len(x_cols)
+    parsed = _parse_body(path, d, ids=True, result=True)
+    grouped = None if parsed is None else _group_by_id(*parsed)
+    x, row_group, y_star = grouped or _group_rows(rows, x_cols, path)
+    sizes = np.bincount(row_group)
+    members = x[np.argsort(row_group, kind="stable")]
+    centers = _pool_means(members, sizes)
+
+    strategy = "generic"
+    if d == 1:
+        order = np.argsort(centers, kind="stable")  # groups by center
+        starts = np.cumsum(sizes) - sizes
+        lo = np.minimum.reduceat(members, starts)[order]
+        hi = np.maximum.reduceat(members, starts)[order]
+        if (hi[:-1] <= lo[1:]).all():
+            strategy = "homogeneous_sorted"
+            rank = np.argsort(order)
+            members = x[np.argsort(rank[row_group], kind="stable")]
+            sizes, centers, y_star = sizes[order], centers[order], y_star[order]
+    nu = float(sizes[0]) if (sizes == sizes[0]).all() else float(sizes.mean())
+    return PooledDataset(members, sizes, centers, y_star, strategy, nu, d)
+
+
+def _group_by_id(ids, x, results):
+    """Number the parsed rows' groups by first appearance: ``(x, row group, y*)``.
+
+    None where the row loop could group otherwise or names a fault: an id that
+    may have been cut at ``_ID_WIDTH`` bytes, an empty one or one with a space
+    or control byte at an end (the row loop strips ids), or a group whose
+    rows disagree on the result.
+    """
+    uniq, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    ends = uniq.view(np.uint8).reshape(uniq.size, _ID_WIDTH)
+    length = np.char.str_len(uniq)
+    if (length == _ID_WIDTH).any() or (ends[:, 0] <= ord(" ")).any():
+        return None
+    if (ends[np.arange(uniq.size), length - 1] <= ord(" ")).any():
+        return None
+    if (results != results[first][inverse]).any():
+        return None
+    order = np.argsort(first)  # groups by first appearance
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return x, rank[inverse], results[first[order]]
+
+
+def _group_rows(rows, x_cols: list[str], path: Path):
+    """The row loop of ``ingest_pooled_csv``: ``(x, row group, y*)``."""
     results: dict[str, int] = {}
     group_of: dict[str, int] = {}  # group number, by first appearance
     xs: list[list[float]] = []
@@ -193,29 +331,9 @@ def ingest_pooled_csv(path) -> PooledDataset:
         row_group.append(group_of.setdefault(gid, len(group_of)))
     if not xs:
         raise DataFormatError(f"{path}: no data rows")
-
-    d = len(x_cols)
     x = np.asarray(xs, dtype=float)
-    x = x[:, 0] if d == 1 else x
-    row_group = np.asarray(row_group)
-    sizes = np.bincount(row_group)
-    y_star = np.fromiter(results.values(), dtype=np.int8)
-    members = x[np.argsort(row_group, kind="stable")]
-    centers = _pool_means(members, sizes)
-
-    strategy = "generic"
-    if d == 1:
-        order = np.argsort(centers, kind="stable")  # groups by center
-        starts = np.cumsum(sizes) - sizes
-        lo = np.minimum.reduceat(members, starts)[order]
-        hi = np.maximum.reduceat(members, starts)[order]
-        if (hi[:-1] <= lo[1:]).all():
-            strategy = "homogeneous_sorted"
-            rank = np.argsort(order)
-            members = x[np.argsort(rank[row_group], kind="stable")]
-            sizes, centers, y_star = sizes[order], centers[order], y_star[order]
-    nu = float(sizes[0]) if (sizes == sizes[0]).all() else float(sizes.mean())
-    return PooledDataset(members, sizes, centers, y_star, strategy, nu, d)
+    return (x[:, 0] if len(x_cols) == 1 else x, np.asarray(row_group),
+            np.fromiter(results.values(), dtype=np.int8))
 
 
 def write_pooled_csv(pooled: PooledDataset, path) -> Path:

@@ -8,12 +8,17 @@ ingest re-orders by center come back re-ordered, and their second file is
 that of the re-ordered pools.
 """
 
+import logging
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from poolreg import PooledDataset, RawDataset, pool_binned, pool_homogeneous, pool_random
+from poolreg import io as pio
+from poolreg.cli import main
 from poolreg.io import (
     DataFormatError,
     ingest_individual_csv,
@@ -102,6 +107,39 @@ def test_blank_rows_are_skipped(tmp_path):
     assert pooled.member_covariates.tolist() == [0.1, 0.2, 0.7]
     assert pooled.sizes().tolist() == [2, 1]
     assert pooled.y_star.tolist() == [0, 1]
+
+
+# files the csv module cannot read or that are not UTF-8: (format, bytes, message)
+UNREADABLE = {
+    "cell past the csv field limit": (
+        IND, f"x,y\n0.5,1\n{'0' * 131_073},0\n".encode(),
+        "unreadable row 3: field larger than field limit (131072)"),
+    "pooled cell past the csv field limit": (
+        POOL, f"{POOL_HEADER}a,0.5,1\n\nb,0.25,0\n{'b' * 131_073},0.5,0\n".encode(),
+        "unreadable row 5: field larger than field limit (131072)"),
+    "byte that is not UTF-8": (IND, b"x,y\n0.5,1\n0.\xff5,0\n",
+                               "not UTF-8 text: byte 0xff cannot be decoded"),
+    "pooled byte that is not UTF-8": (POOL, POOL_HEADER.encode() + b"a\xfe,0.5,1\n",
+                                      "not UTF-8 text: byte 0xfe cannot be decoded"),
+    "header byte that is not UTF-8": (IND, b"\xffx,y\n0.5,1\n",
+                                      "not UTF-8 text: byte 0xff cannot be decoded"),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_unreadable_file_is_named_and_exits_2(case, tmp_path, caplog):
+    fmt, data, message = UNREADABLE[case]
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    with pytest.raises(DataFormatError) as err:
+        INGEST[fmt](path)
+    assert str(err.value) == f"{path}: {message}"
+
+    argv = ["estimate", "--input", str(path), "--estimator", "dh",
+            "--out", str(tmp_path / "out")] + ["--nu", "1"] * (fmt == IND)
+    with caplog.at_level(logging.ERROR, logger="poolreg"):
+        assert main(argv) == 2
+    assert f"{path}: {message}" in caplog.text
 
 
 # ---------------------------------------------------------------------------
@@ -218,3 +256,167 @@ def test_pooled_round_trip_is_exact(tmp_path):
 
     check()
 
+
+# ---------------------------------------------------------------------------
+# the vectorised parse against the row loop
+#
+# Ingest reads a data file's body in one numpy parse and hands it to the row
+# loop wherever that parse is in doubt.  On any file, ingest must give the
+# row loop's arrays bit for bit, or raise the row loop's exact error.
+
+LONG_CELL = "0" * 131_072 + ".5"  # past the csv field limit, but a number to numpy
+X_HAZARDS = ["nan", "inf", "-inf", "NaN", "1e999", "1e-400", "1_0", "١", "0x10", "",
+             " ", "abc", " 0.5", "0.5 ", "\t0.5", "+0.5", "#0.5", '"0.5"', "0.5\x00",
+             "\x1c0.5", "0.5\x1c", "0.5\x0b", LONG_CELL]
+RESULT_HAZARDS = ["+1", "01", " 1", "1 ", "1.0", "1\x00", "\x001", "2", "10", "-0", "",
+                  "١", '"1"', "#1", "0\t", "\x1c1", "True"]
+ID_HAZARDS = ["", " ", " a", "a ", "\ta", "a\x1c", "\x1fa", '"a"', "#a", "a\x00", "é",
+              "x" * 32 + "a", "x" * 32 + "b", "x" * 31, "x" * 32, "a b", "g000001 "]
+LINE_HAZARDS = ["", " ", "\t", "#", "# a comment", ",", ",,", "\x00"]
+IDS = (st.sampled_from(["a", "b", "lab7", "g000001", "g000002", "G1", "x" * 31])
+       | st.sampled_from(ID_HAZARDS))
+# a prefix that makes every id of a file longer than any fixed width, so that
+# a read at such a width would merge its groups
+ID_PREFIX = st.sampled_from(["", "", "x" * 32, "y" * 1000])
+
+
+def float_cell(v: float, style: int) -> str:
+    return (f"{v:.17g}", repr(v), f"{v}", f"{v:.3e}")[style]
+
+
+@st.composite
+def data_files(draw):
+    """(format, file bytes): a well-formed file, then up to two hazards."""
+    fmt = draw(st.sampled_from([IND, POOL]))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 8))
+    x = [draw(st.lists(COVARIATE, min_size=d, max_size=d)) for _ in range(n)]
+    style = draw(st.integers(0, 3))
+    if fmt == IND:
+        has_y = draw(st.booleans())
+        header = ["x"] + [f"x{k}" for k in range(2, d + 1)] + ["y"] * has_y
+        rows = [[float_cell(v, style) for v in xi]
+                + [str(draw(st.integers(0, 1)))] * has_y for xi in x]
+        hazards = {"x": X_HAZARDS, "result": RESULT_HAZARDS}
+    else:
+        header = ["group_id"] + [f"x{k}" for k in range(1, d + 1)] + ["group_result"]
+        prefix = draw(ID_PREFIX)
+        ids = [prefix + i for i in draw(st.lists(IDS, min_size=1, max_size=4, unique=True))]
+        results = draw(st.sampled_from([[0] * len(ids), [1] * len(ids)])
+                       | st.lists(st.integers(0, 1), min_size=len(ids), max_size=len(ids)))
+        group = draw(st.lists(st.integers(0, len(ids) - 1), min_size=n, max_size=n))
+        if draw(st.booleans()):  # contiguous groups in shuffled order: sortable
+            x.sort()
+            blocks = draw(st.permutations(range(len(ids))))
+            group = sorted(group)
+            x = [xi for b in blocks for xi, g in zip(x, group) if g == b]
+            group = [g for b in blocks for g in group if g == b]
+        rows = [[ids[g]] + [float_cell(v, style) for v in xi] + [str(results[g])]
+                for xi, g in zip(x, group)]
+        hazards = {"x": X_HAZARDS, "result": RESULT_HAZARDS, "id": ID_HAZARDS}
+    lines = [",".join(header)] + [",".join(r) for r in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(["cell", "line", "width", "flip"]))
+        i = draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else 1
+        if kind == "line":
+            lines.insert(i, draw(st.sampled_from(LINE_HAZARDS)))
+        elif i < len(lines) and kind == "width":
+            lines[i] += draw(st.sampled_from([",0", ",", ""]))
+            lines[i] = lines[i].rsplit(",", draw(st.integers(0, 1)))[0]
+        elif i < len(lines) and kind == "flip" and fmt == POOL:
+            cells = lines[i].split(",")
+            cells[-1] = "1" if cells[-1] == "0" else "0"
+            lines[i] = ",".join(cells)
+        elif i < len(lines) and kind == "cell":
+            cells = lines[i].split(",")
+            column = draw(st.sampled_from(sorted(hazards)))
+            j = {"id": 0, "result": len(cells) - 1}.get(
+                column, draw(st.integers(int(fmt == POOL), d - int(fmt == IND))))
+            # a line an earlier hazard made short takes it in its last cell
+            cells[min(j, len(cells) - 1)] = draw(st.sampled_from(hazards[column]))
+            lines[i] = ",".join(cells)
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    body = "".join(line + draw(st.sampled_from([ending] * 6 + ["\n", "\r\n", "\r"]))
+                   for line in lines[:-1]) + lines[-1] + draw(st.sampled_from([ending, ""]))
+    data = body.encode("utf-8")
+    if draw(st.integers(0, 15)) == 0:  # a byte that is not UTF-8
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return fmt, data
+
+
+def same_dataset(got, want) -> bool:
+    if isinstance(want, RawDataset):
+        if want.responses is None:
+            return got.responses is None and same_bits(got.covariates, want.covariates)
+        return (same_bits(got.covariates, want.covariates)
+                and same_bits(got.responses, want.responses))
+    tags = ("strategy", "nu", "dimension")
+    arrays = ("member_covariates", "group_sizes", "group_centers", "y_star")
+    return (all(getattr(got, k) == getattr(want, k) for k in tags)
+            and all(same_bits(getattr(got, k), getattr(want, k)) for k in arrays))
+
+
+def row_loop_ingest(fmt, path):
+    """Ingest with the vectorised parse switched off: the row loop reads the body."""
+    with mock.patch.object(pio, "_parse_body", return_value=None):
+        return INGEST[fmt](path)
+
+
+def test_vectorised_parse_matches_the_row_loop(tmp_path):
+    outcomes = {"vectorised": 0, "row loop": 0, "error": 0}
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(data_files())
+    @example((IND, f"x,y\n0.5,1\n{LONG_CELL},0\n".encode()))
+    @example((POOL, ("group_id,x1,group_result\n" + "x" * 32 + "a,0.1,0\n"
+                     + "x" * 32 + "b,0.2,0\n").encode()))
+    @example((POOL, b"group_id,x1,group_result\na,0.1,1\x00\nb,0.2,1\n"))
+    @example((IND, b"x,y\n0.1,+1\n0.2,01\n"))
+    def check(case):
+        fmt, data = case
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        try:
+            want = row_loop_ingest(fmt, path)
+        except DataFormatError as exc:
+            with pytest.raises(DataFormatError) as err:
+                INGEST[fmt](path)
+            assert str(err.value) == str(exc)
+            outcomes["error"] += 1
+            return
+        with mock.patch.object(pio, "_parse_float", wraps=pio._parse_float) as parse:
+            got = INGEST[fmt](path)
+        assert same_dataset(got, want)
+        outcomes["row loop" if parse.called else "vectorised"] += 1
+
+    check()
+    # the comparison must not be vacuous: each outcome is common
+    assert min(outcomes.values()) >= 25, outcomes
+
+
+def write_screen_files(tmp_path, n: int = 2000, nu: int = 5):
+    """An individual and a pooled file as the screen_csv benchmark writes them."""
+    rng = np.random.default_rng(3)
+    x = np.sort(rng.uniform(0.0, 1.0, n))
+    y = (rng.random(n) < x * x / 8.0).astype(int)
+    ind, pooled = tmp_path / "individual.csv", tmp_path / "pooled.csv"
+    ind.write_text("x,y\n" + "".join(f"{v:.17g},{r}\n" for v, r in zip(x, y)))
+    z = y.reshape(-1, nu).max(axis=1)
+    pooled.write_text("group_id,x1,group_result\n" + "".join(
+        f"g{i // nu:06d},{v:.17g},{z[i // nu]}\n" for i, v in enumerate(x)))
+    return ind, pooled
+
+
+def test_benchmark_shaped_files_take_the_vectorised_parse(tmp_path):
+    ind, pooled = write_screen_files(tmp_path)
+    want_raw, want_pools = ingest_individual_csv(ind), ingest_pooled_csv(pooled)
+    with mock.patch.object(pio, "_parse_float", side_effect=AssertionError("row loop")):
+        raw = ingest_individual_csv(ind)
+        pools = ingest_pooled_csv(pooled)
+    assert same_dataset(raw, want_raw) and raw.n == 2000
+    assert same_dataset(pools, want_pools)
+    assert pools.strategy == "homogeneous_sorted" and pools.nu == 5.0
+    assert pools.n_groups == 400

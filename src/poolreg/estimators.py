@@ -113,7 +113,8 @@ def _equal_group_size(pooled: PooledDataset) -> int:
     if not (sizes == sizes[0]).all():
         raise EstimationError(
             f"group size varies across pools ({sizes.min()} to {sizes.max()}); "
-            "this estimator needs equal pools, estimate_dh_binned takes unequal ones"
+            "dh, dm and data-mode diagnostics need equal pools; dh_binned bins "
+            "individual-level input instead"
         )
     return int(sizes[0])
 

@@ -1,12 +1,24 @@
-"""True prevalence curves and covariate laws for simulation and diagnostics."""
+"""True prevalence curves and covariate laws for simulation and diagnostics.
+
+The normal law's density is written out, its quantile is the standard
+library's ``statistics.NormalDist.inv_cdf``, and the mean survival q is a
+composite Gauss-Legendre rule, so the module needs numpy alone.
+"""
 
 from __future__ import annotations
 
+import math
+import statistics
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, stats
+
+# mean_survival's rule: _GL_NODES Gauss-Legendre nodes on each of _GL_PANELS
+# equal panels.  The panel count is even, so an edge falls on the interval's
+# midpoint, where model i's kink at x = 0 lies for both its laws.
+_GL_PANELS = 16
+_GL_NODES = 50
 
 
 @dataclass(frozen=True)
@@ -35,12 +47,13 @@ class CovariateLaw:
         if self.kind == "uniform":
             inside = (x >= self.a) & (x <= self.b)
             return np.where(inside, 1.0 / (self.b - self.a), 0.0)
-        return stats.norm.pdf(x, loc=self.a, scale=self.b)
+        t = (x - self.a) / self.b
+        return np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi) / self.b
 
     def quantile(self, q: float) -> float:
         if self.kind == "uniform":
             return self.a + q * (self.b - self.a)
-        return float(stats.norm.ppf(q, loc=self.a, scale=self.b))
+        return statistics.NormalDist(self.a, self.b).inv_cdf(q)
 
 
 def _fd_derivative(p: Callable, order: int):
@@ -103,11 +116,11 @@ class PrevalenceModel:
         else:
             lo = self.law.a - 10.0 * self.law.b
             hi = self.law.a + 10.0 * self.law.b
-        val, _ = integrate.quad(
-            lambda x: (1.0 - float(self.p(x))) * float(self.law.pdf(x)), lo, hi,
-            limit=200,
-        )
-        return float(val)
+        t, w = np.polynomial.legendre.leggauss(_GL_NODES)
+        edges = np.linspace(lo, hi, _GL_PANELS + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        x = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * t).ravel()
+        return float(np.sum((half * w).ravel() * (1.0 - self.p(x)) * self.law.pdf(x)))
 
 
 def _pi_i(x):

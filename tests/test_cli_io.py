@@ -588,19 +588,24 @@ class TestCli:
         assert code == 0
         assert (out / "estimate_dh.csv").exists()
 
-    def test_unequal_pools_via_cli_direct_to_binned(self, tmp_path):
+    def test_unequal_pools_via_cli_direct_to_binned(self, tmp_path, caplog):
         p = tmp_path / "g.csv"
         p.write_text(
             "group_id,x1,group_result\n"
-            "a,0.1,0\na,0.2,0\n"
-            "b,0.5,0\nb,0.6,0\nb,0.7,1\n"
-            "c,0.8,1\nc,0.9,1\n"
+            "a,0.1,0\na,0.2,0\na,0.3,0\n"
+            "b,0.4,1\nb,0.5,1\nb,0.6,1\nb,0.7,1\nb,0.8,1\nb,0.85,1\nb,0.9,1\n"
         )
-        code = main([
-            "estimate", "--input", str(p), "--estimator", "dh",
-            "--bandwidth", "fixed:0.3", "--out", str(tmp_path / "o"),
-        ])
-        assert code == 2  # error directs the caller to the binned estimator
+        with caplog.at_level(logging.ERROR, logger="poolreg"):
+            code = main([
+                "estimate", "--input", str(p), "--estimator", "dh",
+                "--bandwidth", "fixed:0.3", "--out", str(tmp_path / "o"),
+            ])
+        assert code == 2
+        assert caplog.messages == [
+            "group size varies across pools (3 to 7); dh, dm and data-mode "
+            "diagnostics need equal pools; dh_binned bins individual-level input "
+            "instead"
+        ]
 
 
 def _same_options(data: str) -> dict:

@@ -42,7 +42,6 @@ from . import io as pio
 # estimate_step run them); they stay importable from this module because
 # perfbench's tracer hooks them by name in both modules.
 from .estimators import (  # noqa: F401
-    EstimationError,
     asymptotic_diagnostics,
     data_mode_diagnostics,
     estimate_dh,
@@ -53,7 +52,6 @@ from .estimators import (  # noqa: F401
 from .kernels import kernel
 from .models import constant_model, make_model
 from .pooling import (  # noqa: F401
-    PoolingError,
     pool_binned,
     pool_homogeneous,
     pool_random,
@@ -67,7 +65,7 @@ from .simulation import (
     rate_experiment,
     run_table,
 )
-from .smoothing import BandwidthError, BandwidthRule, SmootherSpec
+from .smoothing import BandwidthRule, SmootherSpec
 
 log = logging.getLogger("poolreg")
 
@@ -437,8 +435,7 @@ def main(argv=None) -> int:
     try:
         command, opt = _resolve_options(argv)
         return _COMMANDS[command](opt)
-    except (CliError, BandwidthError, EstimationError, PoolingError,
-            pio.DataFormatError, ExperimentError, ValueError) as exc:
+    except (ValueError, ExperimentError) as exc:
         log.error("%s", exc)
         return 2
     except OSError as exc:

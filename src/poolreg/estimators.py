@@ -365,7 +365,8 @@ def data_mode_diagnostics(
     The prevalence curve and its derivatives come from a local quadratic on
     a pilot pooled fit; the covariate density from a normal-reference kernel
     density of the raw covariates.  As in ``asymptotic_diagnostics``,
-    ``spec.degree`` must be 1.
+    ``spec.degree`` must be 1.  Pools that all test positive leave q̂ = 0,
+    where A1 is undefined, and are refused as ``estimate_dm`` refuses them.
     """
     if pooled.strategy != "homogeneous_sorted":
         raise EstimationError("data-mode diagnostics need homogeneous pools")
@@ -376,6 +377,12 @@ def data_mode_diagnostics(
 
     u = pooled.centers()
     z = pooled.z_star()
+    q_hat = float(np.mean(z)) ** (1.0 / nu)
+    if q_hat == 0.0:
+        raise EstimationError(
+            "every pool tested positive (q_hat = 0); the data-mode diagnostics "
+            "are undefined; use a smaller group size nu"
+        )
     res = _grid_fit_1d(u, z, 1, spec.kernel, 1.5 * h, x)
     p_pilot = _pilot_prevalence(res["value"], nu)
 
@@ -390,6 +397,4 @@ def data_mode_diagnostics(
 
     f_hat = _normal_reference_density(pooled.member_covariates, x, spec.kernel)
     f_hat = np.maximum(f_hat, 1e-300)
-
-    q_hat = float(np.mean(z)) ** (1.0 / nu)
     return _diagnostic_formulas(x, p_pilot, p1, p2, f_hat, spec.kernel, nu, n, h, q_hat)

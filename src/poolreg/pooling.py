@@ -213,12 +213,15 @@ def pool_homogeneous(raw: RawDataset, nu: int) -> PooledDataset:
     generalization's job.
     """
     if raw.dimension != 1:
-        raise PoolingError("homogeneous pooling is univariate; use pool_binned")
+        raise PoolingError(
+            "homogeneous pooling is univariate; of the estimators, only dh_binned "
+            "takes d-variate input"
+        )
     nu = _group_size(nu)
     if raw.n % nu != 0:
         raise PoolingError(
-            f"nu={nu} does not divide N={raw.n}; use pool_binned, which "
-            "handles unequal group counts"
+            f"nu={nu} does not divide N={raw.n}; of the estimators, only dh_binned "
+            "takes any N"
         )
     order = np.argsort(raw.covariates, kind="stable")
     return _equal_pools(raw, order, nu, "homogeneous_sorted")
@@ -229,7 +232,10 @@ def pool_random(
 ) -> PooledDataset:
     """Uniformly random partition into N/nu groups of nu, via seeded shuffle."""
     if raw.dimension != 1:
-        raise PoolingError("random pooling is univariate; use pool_binned")
+        raise PoolingError(
+            "random pooling is univariate; of the estimators, only dh_binned "
+            "takes d-variate input"
+        )
     nu = _group_size(nu)
     if raw.n % nu != 0:
         raise PoolingError(f"nu={nu} does not divide N={raw.n}")

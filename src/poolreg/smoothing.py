@@ -26,7 +26,9 @@ cannot rule out is scored exactly by ``loo_cv_score``, so the choice is the
 exhaustive search's (see ``select_bandwidth``).  The d-variate search screens
 the same way with exact moments on the lattice of the design's distinct
 values per axis, where the gaussian weights factor (Wand 1994); only rounding
-separates them from the exact scores (see ``select_bandwidth_multi``).
+separates them from the exact scores (see ``select_bandwidth_multi``).  Both
+screens only form moments: one step, ``_screen_scores``, turns them into each
+candidate's score and error bound.
 """
 
 from __future__ import annotations
@@ -333,16 +335,14 @@ def _grid_fit_1d(
     kern: Kernel,
     h: float,
     x_eval: np.ndarray,
-    *,
-    want_self_weight: bool = False,
 ):
     """Vectorized local polynomial fit of (u, z) at every point of x_eval.
 
     Returns a dict with ``value`` (NaN where failed), ``flag`` (int codes
     0=ok, 1=near_singular, 2=failed), ``count``, ``alpha`` (solution of
-    S a = e1 in the scaled basis, for effective-weight reconstruction) and,
-    on request, the leave-one-out self weight ``self_w`` (valid when the
-    evaluation points are design points).
+    S a = e1 in the scaled basis, for effective-weight reconstruction) and
+    the leave-one-out self weight ``self_w = K(0) a_0`` (the leverage, when
+    the evaluation points are design points).
     """
     u = np.asarray(u, dtype=float)
     x_eval = np.asarray(x_eval, dtype=float)
@@ -350,10 +350,8 @@ def _grid_fit_1d(
         u[:, None], np.asarray(z, dtype=float), degree, kern, h, x_eval[:, None]
     )
     a, value, flag = _intercept_fit(S, r, count)
-    out = {"value": value, "flag": flag, "count": count, "alpha": a}
-    if want_self_weight:
-        out["self_w"] = kern.at_zero * a[:, 0]
-    return out
+    return {"value": value, "flag": flag, "count": count, "alpha": a,
+            "self_w": kern.at_zero * a[:, 0]}
 
 
 WIDEN_FACTOR = 2.0
@@ -465,7 +463,12 @@ def local_poly_derivatives(
     )
     beta, rel_piv = _solve_batched(S, r[:, :, None])
     ok = (count >= degree + 1) & (rel_piv >= PIVOT_REL_TOL)
-    fact = np.array([math.factorial(k) / h**k for k in range(degree + 1)])
+    try:
+        fact = np.array([math.factorial(k) / h**k for k in range(degree + 1)])
+    except (OverflowError, ZeroDivisionError):
+        raise BandwidthError(f"h={h:.6g} is out of floating-point range for derivatives "
+                             f"of order {degree}: the covariate's span is out of range; "
+                             "rescale x") from None
     return np.where(ok[:, None], beta[:, :, 0] * fact[None, :], np.nan)
 
 
@@ -538,23 +541,29 @@ def _cv_eval_indices(u: np.ndarray, z: np.ndarray, cap: int) -> np.ndarray:
     return inner[picks]
 
 
-def _loo_score(res: dict, z_at: np.ndarray) -> float:
-    """Mean squared leave-one-out error of a self-weighted fit at design points.
+def _loo_residuals(z: np.ndarray, value: np.ndarray, lev: np.ndarray) -> np.ndarray:
+    """Leave-one-out residuals ``z_j - z_hat_{-j}`` of a fit at design points.
 
     Uses the weighted-least-squares deletion identity
-    ``z_hat_{-j} = (z_hat_j - l_j z_j) / (1 - l_j)`` with the leverage
-    ``l_j = res["self_w"]``, exact because the weights do not depend on z.
-    Returns inf when any fit fails or has leverage near one (candidate
-    unusable).
+    ``z_hat_{-j} = (z_hat_j - l_j z_j) / (1 - l_j)`` with the fit's value
+    ``z_hat_j`` and leverage ``l_j``, exact because the weights do not depend
+    on z.  The residual is inf where ``1 - l_j <= 1e-10``: a leverage near one
+    leaves no usable score.
+    """
+    denom = 1.0 - lev
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return np.where(denom > 1e-10, z - (value - lev * z) / denom, np.inf)
+
+
+def _loo_score(res: dict, z_at: np.ndarray) -> float:
+    """Mean squared leave-one-out error of a grid fit at design points.
+
+    The leverage is ``res["self_w"]`` (see ``_loo_residuals``).  Returns inf
+    when any fit fails or has leverage near one (candidate unusable).
     """
     if (res["flag"] == 2).any():
         return math.inf
-    lev = res["self_w"]
-    denom = 1.0 - lev
-    if (denom <= 1e-10).any():
-        return math.inf
-    loo = (res["value"] - lev * z_at) / denom
-    return float(np.mean((z_at - loo) ** 2))
+    return float(np.mean(_loo_residuals(z_at, res["value"], res["self_w"]) ** 2))
 
 
 def _cv_tie(best: float, z: np.ndarray) -> float:
@@ -589,8 +598,49 @@ def loo_cv_score(
     ``_loo_score``.  Returns inf when any evaluation fit fails (candidate
     unusable).
     """
-    res = _grid_fit_1d(u, z, degree, kern, h, u[eval_idx], want_self_weight=True)
+    res = _grid_fit_1d(u, z, degree, kern, h, u[eval_idx])
     return _loo_score(res, z[eval_idx])
+
+
+def _screen_scores(S, r, ok, k0, z_at, lo, hi, w, scale):
+    """Screened root CV score of each candidate, and a lower bound on the exact one.
+
+    ``S`` (C, N, n, n) and ``r`` (C, N, n) are candidate c's local moments at
+    N nodes, and ``ok`` (C, N) marks nodes with enough weighted points.  Each
+    node's fit gives a value and a leverage ``k0 a_0``, as in
+    ``_intercept_fit``; scoring point i takes ``1 - w_i`` of node ``lo_i``'s
+    and ``w_i`` of node ``hi_i``'s, and the root is the RMS of its
+    ``_loo_residuals``.
+
+    Each screen bounds the error of its moments, in the units of z, by
+    ``scale`` per candidate.  A residual's error is that amplified by the
+    moment matrix's Frobenius condition number kappa and by the division by
+    1 - l, and by the triangle inequality the root moves by at most the RMS of
+    those errors, so ``|sqrt(screened) - sqrt(exact)| <= E`` with
+
+        E = scale * RMS_i(kappa_i / (1 - l_i)^2),
+
+    kappa_i the larger of point i's two nodes'.  Returns (root, lower): inf
+    and -inf for a candidate with a node not ok or with a relative pivot below
+    ``PIVOT_REL_TOL``, a leverage near one, or a root or bound not finite.
+    """
+    C, N, n = r.shape
+    S = S.reshape(-1, n, n)
+    S_inv, rel_piv = _solve_batched(S, np.broadcast_to(np.eye(n), S.shape))
+    ok = ok & (rel_piv >= PIVOT_REL_TOL).reshape(C, N)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        kappa = np.sqrt((S * S).sum(axis=(1, 2)) * (S_inv * S_inv).sum(axis=(1, 2)))
+        value = np.einsum("ck,ck->c", S_inv[:, :, 0], r.reshape(-1, n))
+        value, a0, kappa = (q.reshape(C, N) for q in (value, S_inv[:, 0, 0], kappa))
+        v = (1.0 - w) * value[:, lo] + w * value[:, hi]
+        lev = k0 * ((1.0 - w) * a0[:, lo] + w * a0[:, hi])
+        root = np.sqrt(np.mean(_loo_residuals(z_at, v, lev) ** 2, axis=1))
+        amp = np.maximum(kappa[:, lo], kappa[:, hi]) / (1.0 - lev) ** 2
+        err = scale * np.sqrt(np.mean(amp * amp, axis=1))
+        lower = root - err
+    usable = (ok[:, lo].all(axis=1) & ok[:, hi].all(axis=1)
+              & np.isfinite(root) & np.isfinite(err))
+    return np.where(usable, root, np.inf), np.where(usable, lower, -np.inf)
 
 
 def _screen_bounds(u, z, degree, kern: Kernel, cands, eval_idx):
@@ -598,29 +648,16 @@ def _screen_bounds(u, z, degree, kern: Kernel, cands, eval_idx):
 
     The design is linear-binned once onto ``_SCREEN_GRID`` equally spaced
     points, spacing delta.  Per candidate, one FFT convolution per moment order
-    forms the local moments at the grid points, and the fit's value and
-    leverage are interpolated linearly to the scoring points, where the LOO
-    residuals are formed as in ``_loo_score``.  The root score is the RMS of
-    the residuals, so by the triangle inequality it moves by at most the RMS
-    of the residuals' errors.  Linear binning moves each kernel weight by
-    O((delta/h)^2) (Hall & Wand 1996); the LOO weights sum to one, so a
-    residual moves by that times at most ptp(z)/2, amplified by the moment
-    matrix's condition number kappa and by the division by 1 - l.  The bound
-    taken is ``|sqrt(binned) - sqrt(exact)| <= E`` with
-
-        E = _SCREEN_ERROR * (delta/h)^2 * (ptp(z) / 2) * RMS_i(kappa_i / (1 - l_i)^2),
-
-    the RMS over the scoring points, kappa_i the larger Frobenius condition
-    number of the two grid points around point i, l_i the binned leverage and
-    the constant measured (see ``_SCREEN_ERROR``).
-
-    Returns (root, lower): root is inf and lower -inf for a candidate whose
-    binned fit fails or whose bound is not finite, and for every candidate
-    where the bound is not derived: a kernel that is not twice differentiable (``uniform`` jumps,
-    so its binning error is O(delta/h), and ``epanechnikov``'s kinks give
-    O(delta/h) for a cluster of points at a kink), fewer than
-    ``_SCREEN_MIN_POINTS`` design points, or a design without a finite span
-    or a finite range of z.
+    forms the local moments at the grid points either side of each scoring
+    point, for ``_screen_scores``.  Linear binning moves each kernel weight by
+    O((delta/h)^2) (Hall & Wand 1996) and the LOO weights sum to one, so the
+    bound's scale is ``_SCREEN_ERROR * (delta/h)^2 * ptp(z)/2``, with the
+    constant measured.  root is inf and lower -inf for every candidate where
+    the bound is not derived: a kernel that is not twice differentiable
+    (``uniform`` jumps, so its binning error is O(delta/h), and
+    ``epanechnikov``'s kinks give O(delta/h) for a cluster of points at a
+    kink), fewer than ``_SCREEN_MIN_POINTS`` design points, or a design
+    without a finite span or a finite range of z.
     """
     C = cands.shape[0]
     lo, span = float(u.min()), float(np.ptp(u))
@@ -659,31 +696,11 @@ def _screen_bounds(u, z, degree, kern: Kernel, cands, eval_idx):
         f = np.concatenate([f * count_hat, f[:n] * sum_hat])
         mom[i] = np.fft.irfft(f, nfft)[:, nodes]
 
-    S = mom[:, np.add.outer(np.arange(n), np.arange(n))]  # (C, n, n, nodes)
-    S = S.transpose(0, 3, 1, 2).reshape(-1, n, n)
-    S_inv, rel_piv = _solve_batched(S, np.broadcast_to(np.eye(n), S.shape))
-    with np.errstate(over="ignore", invalid="ignore"):
-        kappa = np.sqrt((S * S).sum(axis=(1, 2)) * (S_inv * S_inv).sum(axis=(1, 2)))
-        value = np.einsum("ck,ck->c", S_inv[:, :, 0], mom[:, 2 * degree + 1 :]
-                          .transpose(0, 2, 1).reshape(-1, n))
-    ok = (rel_piv >= PIVOT_REL_TOL).reshape(C, -1)
-    value, a0, kappa = (q.reshape(C, -1) for q in (value, S_inv[:, 0, 0], kappa))
-
-    lo_node, hi_node = at[:n_eval], at[n_eval:]
-    w = frac[eval_idx]
-    za = z[eval_idx]
-    usable = ok[:, lo_node].all(axis=1) & ok[:, hi_node].all(axis=1)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v = (1.0 - w) * value[:, lo_node] + w * value[:, hi_node]
-        denom = 1.0 - kern.at_zero * ((1.0 - w) * a0[:, lo_node] + w * a0[:, hi_node])
-        usable &= (denom > 1e-10).all(axis=1)
-        root = np.sqrt(np.mean(((za - v) / denom) ** 2, axis=1))
-        amp = np.maximum(kappa[:, lo_node], kappa[:, hi_node]) / denom**2
-        err = (_SCREEN_ERROR * (delta / cands) ** 2 * half_range
-               * np.sqrt(np.mean(amp * amp, axis=1)))
-        lower = root - err
-    usable &= np.isfinite(root) & np.isfinite(err)
-    return np.where(usable, root, np.inf), np.where(usable, lower, -np.inf)
+    S = mom[:, np.add.outer(np.arange(n), np.arange(n))].transpose(0, 3, 1, 2)
+    r = mom[:, 2 * degree + 1 :].transpose(0, 2, 1)
+    return _screen_scores(S, r, True, kern.at_zero, z[eval_idx], at[:n_eval],
+                          at[n_eval:], frac[eval_idx],
+                          _SCREEN_ERROR * (delta / cands) ** 2 * half_range)
 
 
 def _cv_scores(root, lower, score, z) -> np.ndarray:
@@ -729,9 +746,7 @@ def select_bandwidth(
 
     The CV search is screened (``_cv_scores``).  Every candidate first gets
     a binned score, from the design linear-binned onto ``_SCREEN_GRID``
-    points, and a bound on that score's error, absolute and in the units of
-    z: ``_SCREEN_ERROR * (delta/h)^2 * ptp(z)/2``, times the RMS over the
-    scoring points of kappa / (1 - leverage)^2 (see ``_screen_bounds``).
+    points, and a bound on that score's error (``_screen_bounds``).
     Candidates are then scored exactly, the binned best first, until the
     bounds prove every remaining one worse than the best exact score by more
     than ``_cv_choice``'s tie tolerance; those keep an infinite score.  The
@@ -865,25 +880,20 @@ def grid_fit_local_linear_multi(
     kern: Kernel,
     h: float,
     x_eval: np.ndarray,
-    *,
-    want_self_weight: bool = False,
 ):
     """Local linear fit with d covariates, vectorized over evaluation points.
 
     ``centers`` is (J, d), ``x_eval`` is (M, d).  Weights use the kernel's
-    spherically symmetric radial profile.  Returns the same dict layout as
-    the univariate grid fit.
+    spherically symmetric radial profile.  Returns the univariate grid fit's
+    ``value``, ``flag``, ``count`` and ``self_w``.
     """
     S, r, count = _local_moments(
         np.asarray(centers, dtype=float), np.asarray(z, dtype=float), 1, kern, h,
         np.asarray(x_eval, dtype=float),
     )
     a, value, flag = _intercept_fit(S, r, count)
-    out = {"value": value, "flag": flag, "count": count}
-    if want_self_weight:
-        # radial_profile(0) == 1 for every family
-        out["self_w"] = a[:, 0]
-    return out
+    # radial_profile(0) == 1 for every family, so the self weight is a_0
+    return {"value": value, "flag": flag, "count": count, "self_w": a[:, 0]}
 
 
 # Constant of the lattice screen's rounding bound (see ``_lattice_bounds``):
@@ -898,85 +908,73 @@ def _lattice_bounds(centers, z, kern: Kernel, cands, picks):
     """Lattice root CV score of each candidate, and a lower bound on the exact one.
 
     Every design lies on the tensor-product lattice of its distinct values per
-    axis, and the gaussian profile factors over the axes: exp(-|t|^2/2) is the
-    product of exp(-t_k^2/2).  With F the count of design points (or the sum
-    of their z) at each lattice node and ``K_k[p][a, i] = t^p exp(-t^2/2)``,
-    ``t = (v_i - v_a)/h`` over axis k's values v, every local linear moment
-    ``sum_j w_j t_1^p1 .. t_d^pd`` (and its z-weighted twin) at every node is
-    F contracted one axis at a time with ``K_k[p_k]``: ``K_1[p] @ F @ K_2[q]^T``
-    for d = 2.  No point moves, so the moments are the exact engine's to
-    rounding; the count of weighted points is contracted from the indicators
-    ``K_k[0] > 0`` and can exceed the engine's where far weights underflow.
-    At the scoring points ``picks`` the moments give value and leverage as in
-    ``_intercept_fit`` and the LOO residuals as in ``_loo_score``.
-
-    Rounding in the sums moves a moment by a few ulps of the moment matrix's
-    norm, and the solve amplifies that by its condition number, so the bound
-    taken is ``|sqrt(lattice) - sqrt(exact)| <= E`` with
-
-        E = _LATTICE_ERROR * eps * max|z| * RMS_i(kappa_i / (1 - l_i)^2),
-
-    kappa_i the Frobenius condition number at scoring point i and l_i its
-    leverage (see ``_screen_bounds`` for the same form).
+    axis.  ``_lattice_moments`` forms each candidate's local linear moments
+    at the scoring points ``picks`` there, exact to rounding since no point
+    moves, and ``_screen_scores`` scores them, each point its own node.
+    Rounding moves a moment by a few ulps of the moment matrix's norm, so the
+    bound's scale is ``_LATTICE_ERROR * eps * max|z|``, the constant measured.
 
     The lattice is used when its matrix work, ``prod(n_k) * sum(n_k)`` over
     the n_k distinct values per axis, is less than the exact search's
-    ``J * len(picks)`` kernel weights per candidate.  Returns (root, lower):
-    root is inf and lower -inf for a candidate whose lattice fit fails, and
-    for every candidate with a kernel other than the gaussian, a design that
-    is not worth a lattice, or a non-finite design or z.
+    ``J * len(picks)`` kernel weights per candidate.  root is inf and lower
+    -inf for every candidate with a kernel other than the gaussian, a design
+    that is not worth a lattice, or a non-finite design or z.
     """
     C = cands.shape[0]
     J, d = centers.shape
-    axes = [np.unique(centers[:, k], return_inverse=True) for k in range(d)]
-    shape = tuple(v.size for v, _ in axes)
+    values, inverse = zip(*(np.unique(centers[:, k], return_inverse=True)
+                            for k in range(d)))
+    shape = tuple(v.size for v in values)
     size = math.prod(shape)
     if (kern.family != "gaussian" or size * sum(shape) >= J * picks.shape[0]
             or not (np.isfinite(centers).all() and np.isfinite(z).all())):
         return np.full(C, np.inf), np.full(C, -np.inf)
 
-    node = np.ravel_multi_index(tuple(inv.ravel() for _, inv in axes), shape)
+    node = np.ravel_multi_index(tuple(inv.ravel() for inv in inverse), shape)
     sources = (np.bincount(node, minlength=size).astype(float).reshape(shape),
                np.bincount(node, z, size).reshape(shape))
     at = np.unravel_index(node[picks], shape)
-    # the basis (1, t_1, .., t_d) as exponents per axis; moments as (source,
-    # exponents), the last the count, whose "exponent" 3 is the indicator
+    S, r, count = (np.stack(m) for m in zip(
+        *(_lattice_moments(values, sources, kern, h, at) for h in cands)))
+    own = np.arange(picks.shape[0])
+    # radial_profile(0) == 1, so the leverage is a_0
+    return _screen_scores(S, r, count >= d + 1, 1.0, z[picks], own, own, 0.0,
+                          _LATTICE_ERROR * np.finfo(float).eps * float(np.abs(z).max()))
+
+
+def _lattice_moments(values, sources, kern: Kernel, h, at):
+    """Exact local linear moments at lattice nodes: (S, r, count) as ``_local_moments``.
+
+    ``values`` holds each axis's distinct values, ``sources`` the count of
+    design points and the sum of their z at each node of the lattice they
+    span, and ``at`` the nodes' indices per axis.  The gaussian profile
+    factors over the axes: exp(-|t|^2/2) is the product of exp(-t_k^2/2).
+    With F a source and ``K_k[p][a, i] = t^p exp(-t^2/2)``, ``t = (v_i -
+    v_a)/h`` over axis k's values v, every moment ``sum_j w_j t_1^p1 ..
+    t_d^pd`` (and its z-weighted twin) at every node is F contracted one axis
+    at a time with ``K_k[p_k]``: ``K_1[p] @ F @ K_2[q]^T`` for d = 2.  The
+    count of weighted points is contracted from the indicators ``K_k[0] > 0``
+    and can exceed the engine's where far weights underflow.
+    """
+    d = len(values)
     n = d + 1
     iu, ju = np.triu_indices(n)
+    # the basis (1, t_1, .., t_d) as exponents per axis; moments as (source,
+    # exponents), the last the count, whose "exponent" 3 is the indicator
     powers = np.vstack([np.zeros(d, dtype=int), np.eye(d, dtype=int)])
     jobs = ([(0, tuple(e)) for e in powers[iu] + powers[ju]]
             + [(1, tuple(e)) for e in powers] + [(0, (3,) * d)])
-
-    n_pairs = iu.size
-    z_at = z[picks]
-    scale = _LATTICE_ERROR * np.finfo(float).eps * float(np.abs(z).max())
-    root = np.full(C, np.inf)
-    lower = np.full(C, -np.inf)
-    S = np.empty((picks.shape[0], n, n))
-    for c, h in enumerate(cands):
-        mats = []
-        for v, _ in axes:
-            t = (v[None, :] - v[:, None]) / h
-            k0 = kern.radial_profile(t * t)
-            mats.append((k0, t * k0, t * t * k0, (k0 > 0.0).astype(float)))
-        done = {}
-        G = np.stack([_contract(sources, mats, src, e, done)[at] for src, e in jobs],
-                     axis=1)
-        S[:, iu, ju] = G[:, :n_pairs]
-        S[:, ju, iu] = G[:, :n_pairs]
-        S_inv, rel_piv = _solve_batched(S, np.broadcast_to(np.eye(n), S.shape))
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            kappa = np.sqrt(np.einsum("cij,cij->c", S, S)
-                            * np.einsum("cij,cij->c", S_inv, S_inv))
-            value = np.einsum("ck,ck->c", S_inv[:, :, 0], G[:, n_pairs:-1])
-            # radial_profile(0) == 1, so the leverage is a_0
-            denom = 1.0 - S_inv[:, 0, 0]
-            root_c = np.sqrt(np.mean(((z_at - value) / denom) ** 2))
-            err = scale * np.sqrt(np.mean((kappa / denom**2) ** 2))
-        usable = (G[:, -1] >= n) & (rel_piv >= PIVOT_REL_TOL) & (denom > 1e-10)
-        if usable.all() and np.isfinite(root_c) and np.isfinite(err):
-            root[c], lower[c] = root_c, root_c - err
-    return root, lower
+    mats = []
+    for v in values:
+        t = (v[None, :] - v[:, None]) / h
+        k0 = kern.radial_profile(t * t)
+        mats.append((k0, t * k0, t * t * k0, (k0 > 0.0).astype(float)))
+    done = {}
+    G = np.stack([_contract(sources, mats, src, e, done)[at] for src, e in jobs], axis=1)
+    S = np.empty((G.shape[0], n, n))
+    S[:, iu, ju] = G[:, : iu.size]
+    S[:, ju, iu] = G[:, : iu.size]
+    return S, G[:, iu.size : -1], G[:, -1]
 
 
 def _contract(sources, mats, src, e, done):
@@ -1036,9 +1034,7 @@ def select_bandwidth_multi(
 
     def exact(i):
         return _loo_score(
-            grid_fit_local_linear_multi(
-                centers, z, kern, float(cands[i]), centers[picks], want_self_weight=True
-            ),
+            grid_fit_local_linear_multi(centers, z, kern, float(cands[i]), centers[picks]),
             z[picks],
         )
 

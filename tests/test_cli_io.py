@@ -3,12 +3,16 @@
 import argparse
 import json
 import logging
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import poolreg
 from poolreg import (
     BandwidthRule,
     EstimateResult,
@@ -272,11 +276,21 @@ def inputs(data_csv, tmp_path):
     biv = "x,x2,y\n" + "".join(f"{a},{b},{int(a > b)}\n" for a, b in x2)
     (tmp_path / "noy.csv").write_text("x\n0.1\n0.5\n0.9\n0.7\n")
     (tmp_path / "biv.csv").write_text(biv)
+    x, y = raw.covariates, raw.responses
+    for name, xs, ys in [("huge", x * 1e300, y), ("tiny", x * 1e-300, y),
+                         ("pos", x, np.ones_like(y)), ("n23", x[:23], y[:23])]:
+        (tmp_path / f"{name}.csv").write_text(
+            "x,y\n" + "".join(f"{float(a)!r},{int(b)}\n" for a, b in zip(xs, ys)))
     return {
         "DATA": str(data_csv),
         "POOLED": str(write_pooled_csv(pool_homogeneous(raw, 5), tmp_path / "p.csv")),
         "NOY": str(tmp_path / "noy.csv"),
         "BIV": str(tmp_path / "biv.csv"),
+        # the covariate times 1e300 and 1e-300, y = 1 throughout, and 23 rows
+        "HUGE": str(tmp_path / "huge.csv"),
+        "TINY": str(tmp_path / "tiny.csv"),
+        "POS": str(tmp_path / "pos.csv"),
+        "N23": str(tmp_path / "n23.csv"),
     }
 
 
@@ -443,6 +457,25 @@ class TestCli:
          "--seed is not read with pooled input"),
         (["estimate", "--input", "POOLED", "--estimator", "dh", "--seed", "3"],
          "--seed is not read with pooled input"),
+        (["data-diagnostics", "--input", "POS", "--nu", "5"],
+         "every pool tested positive (q_hat = 0); the data-mode diagnostics are "
+         "undefined"),
+        (["data-diagnostics", "--input", "HUGE", "--nu", "5"],
+         "is out of floating-point range for derivatives of order 2: the "
+         "covariate's span is out of range"),
+        (["data-diagnostics", "--input", "N23", "--nu", "5"],
+         "nu=5 does not divide N=23; of the estimators, only dh_binned takes any N"),
+        (["estimate", "--input", "N23", "--estimator", "dh", "--nu", "5"],
+         "nu=5 does not divide N=23; of the estimators, only dh_binned takes any N"),
+        (["data-diagnostics", "--input", "BIV", "--nu", "5"],
+         "homogeneous pooling is univariate; of the estimators, only dh_binned "
+         "takes d-variate input"),
+        (["estimate", "--input", "BIV", "--estimator", "dh", "--nu", "5"],
+         "homogeneous pooling is univariate; of the estimators, only dh_binned "
+         "takes d-variate input"),
+        (["estimate", "--input", "BIV", "--estimator", "dm", "--nu", "5", "--seed",
+          "1"], "random pooling is univariate; of the estimators, only dh_binned "
+         "takes d-variate input"),
     ])
     def test_bad_option_value_is_a_clean_error(self, argv, message, inputs,
                                                tmp_path, caplog):
@@ -452,6 +485,28 @@ class TestCli:
             code = main(argv + ["--bandwidth", "fixed:0.2", "--out", str(out)])
         assert code == 2
         assert message in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--input", "HUGE", "--estimator", "ll"],
+        ["--input", "TINY", "--estimator", "dh", "--nu", "5"],
+        ["--input", "HUGE", "--estimator", "dh_binned", "--nu", "5"],
+    ])
+    def test_plugin_on_an_extreme_covariate_scale_is_a_clean_error(self, argv, inputs,
+                                                                   tmp_path):
+        out = tmp_path / "o"
+        argv = ["estimate"] + [inputs.get(a, a) for a in argv]
+        proc = subprocess.run(
+            [sys.executable, "-m", "poolreg.cli", *argv, "--bandwidth", "plugin",
+             "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(Path(poolreg.__file__).parents[1])},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        errors = [line for line in proc.stderr.splitlines() if " ERROR " in line]
+        assert len(errors) == 1
+        assert "the covariate's span is out of range" in errors[0]
+        assert "Traceback" not in proc.stderr
         assert not out.exists()
 
     def test_simulate_byte_identical_reruns(self, tmp_path):

@@ -83,7 +83,7 @@ def _check_fits(got, want, rho, zmax):
 @given(designs(d=1))
 def test_univariate_fit_matches_dense_oracle(case):
     u, z, x, h, degree, kern = case
-    got = _grid_fit_1d(u[:, 0], z, degree, kern, h, x[:, 0], want_self_weight=True)
+    got = _grid_fit_1d(u[:, 0], z, degree, kern, h, x[:, 0])
     want = dense_fit_1d(u[:, 0], z, degree, kern, h, x[:, 0], want_self_weight=True)
     rho = relative_pivots(u, degree, kern, h, x)
     ok = _check_fits(got, want, rho, np.abs(z).max())
@@ -114,7 +114,7 @@ def test_derivatives_match_dense_oracle(case):
 @given(designs(d=2))
 def test_bivariate_fit_matches_dense_oracle(case):
     u, z, x, h, _, kern = case
-    got = grid_fit_local_linear_multi(u, z, kern, h, x, want_self_weight=True)
+    got = grid_fit_local_linear_multi(u, z, kern, h, x)
     want = dense_fit_multi(u, z, kern, h, x, want_self_weight=True)
     rho = relative_pivots(u, 1, kern, h, x)
     ok = _check_fits(got, want, rho, np.abs(z).max())

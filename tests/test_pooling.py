@@ -80,11 +80,11 @@ class TestPoolHomogeneous:
                 assert pooled.z_star()[0] == 1 - max(bits)
 
     def test_divisibility_error_mentions_binned(self):
-        with pytest.raises(PoolingError, match="pool_binned"):
+        with pytest.raises(PoolingError, match="dh_binned"):
             pool_homogeneous(RawDataset([1.0, 2.0, 3.0]), 2)
 
     def test_multivariate_error_mentions_binned(self):
-        with pytest.raises(PoolingError, match="pool_binned"):
+        with pytest.raises(PoolingError, match="dh_binned"):
             pool_homogeneous(RawDataset(np.zeros((4, 2))), 2)
 
     def test_contiguity_invariant(self):

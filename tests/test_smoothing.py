@@ -472,6 +472,40 @@ def test_screened_search_returns_the_exhaustive_choice(case):
     assert select_bandwidth(design, spec, nu=5, n_raw=5 * u.size) == want
 
 
+@pytest.mark.parametrize("d, degree, kern", [
+    (1, 1, GAUSSIAN), (1, 2, EPANECHNIKOV), (1, 3, GAUSSIAN), (1, 3, UNIFORM),
+    (2, 1, GAUSSIAN), (2, 1, EPANECHNIKOV),
+])
+def test_shared_scoring_step_reproduces_the_exact_loo_score(d, degree, kern):
+    """Both screens score through ``_screen_scores``.  Given the exact engine's
+    moments at the scoring points, each point its own node (lo == hi, w = 0),
+    and a zero error scale, its root squared is ``_loo_score`` of the exact
+    fit to rounding and its lower bound is its root; a candidate whose fits
+    fail (h = 1e-3) is unusable in both."""
+    rng = np.random.default_rng(10 * d + degree)
+    u = rng.uniform(size=(300, d))
+    z = (rng.random(300) < 0.2 + 0.5 * u[:, 0]).astype(float)
+    picks = np.arange(20, 280, 7)
+    cands = np.array([1e-3, 0.15, 0.3, 0.6])
+    S, r, count = (np.stack(m) for m in zip(*(
+        smoothing._local_moments(u, z, degree, kern, h, u[picks]) for h in cands)))
+    own = np.arange(picks.size)
+    k0 = kern.at_zero if d == 1 else 1.0  # radial_profile(0) == 1
+    root, lower = smoothing._screen_scores(
+        S, r, count >= r.shape[2], k0, z[picks], own, own, 0.0, 0.0
+    )
+    if d == 1:
+        fits = [_grid_fit_1d(u[:, 0], z, degree, kern, h, u[picks, 0]) for h in cands]
+    else:
+        fits = [smoothing.grid_fit_local_linear_multi(u, z, kern, h, u[picks])
+                for h in cands]
+    exact = np.array([smoothing._loo_score(fit, z[picks]) for fit in fits])
+    assert np.isinf(exact[0]) and np.isfinite(exact[1:]).all()
+    assert root[0] == np.inf and lower[0] == -np.inf
+    np.testing.assert_allclose(root[1:] ** 2, exact[1:], rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(lower[1:], root[1:])
+
+
 # ---------------------------------------------------------------------------
 # tiny designs and heavy ties: pinned outcomes of the LL estimator
 
@@ -635,7 +669,7 @@ def test_lattice_search_returns_the_exhaustive_choice(case):
     scores = np.array([
         smoothing._loo_score(
             smoothing.grid_fit_local_linear_multi(
-                centers, z, kern, h, centers[picks], want_self_weight=True
+                centers, z, kern, h, centers[picks]
             ),
             z[picks],
         )

@@ -25,8 +25,8 @@ from .kernels import Kernel
 from .models import PrevalenceModel
 from .pooling import PooledDataset, RawDataset
 # grid_fit_local_linear_multi is not called here (grid_fit_with_widening runs
-# it); it stays importable from this module because perfbench's tracer hooks
-# the fits by name in both modules.
+# it where the lattice does not serve the fit); it stays importable from this
+# module because perfbench's tracer hooks the fits by name in both modules.
 from .smoothing import (  # noqa: F401
     SmootherSpec,
     _dh_first_order,

@@ -95,8 +95,8 @@ class BinGeometry:
         w = np.asarray(self.widths)
         inside = ((pts >= lo) & (pts <= hi)).all(axis=1)
         rel = (pts - lo) / w
-        idx = np.ceil(rel).astype(np.int64) - 1
-        idx = np.clip(idx, 0, self.bins_per_axis - 1)
+        # clipped before the cast: a point far outside overflows int64
+        idx = np.clip(np.ceil(rel), 1, self.bins_per_axis).astype(np.int64) - 1
         return idx, inside
 
     def count_at(self, points: np.ndarray) -> np.ndarray:

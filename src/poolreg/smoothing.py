@@ -8,7 +8,7 @@ combination are the *effective weights* of the fit.  Everything downstream
 (prevalence estimators, cross-validation, plug-in bandwidths) is built on
 this one routine.
 
-All grid fits (univariate values and derivatives, and the d-variate local
+Grid fits (univariate values and derivatives, and the d-variate local
 linear fit) share one exact moment engine, ``_local_moments``.  It groups
 the evaluation points into blocks of up to 64 nearby points and the design
 into slabs of 2048 points, so that a block's kernel weights (1 MiB) stay in
@@ -16,7 +16,10 @@ a 2 MiB per-core L2 cache.  Per block it expands the basis about the block
 midpoint and forms every weighted moment with one matrix product, then
 shifts the moments exactly back to each evaluation point.  The dense
 per-point implementation it replaced is kept in the tests as the oracle it
-is checked against (``tests/dense_oracle.py``).
+is checked against (``tests/dense_oracle.py``).  A d-variate fit at nodes
+of the lattice of the design's distinct values per axis, such as the bin
+centres of the binned estimator, forms its moments on that lattice instead
+where that is cheaper (``_grid_fit_multi``), with the engine's flags.
 
 Leave-one-out CV scores every bandwidth candidate on a linear-binned copy of
 the design first (Fan & Marron 1994): FFT convolutions give all candidates'
@@ -275,42 +278,45 @@ def _local_moments(
     # to moments of size |t|^(2 degree).  Blocks 2h/degree wide keep
     # |delta| <= 1/degree, so that loss stays below (1 + 2/degree)^(2 degree),
     # under e^4 ~ 55 units in the last place whatever the degree.
-    for idx in _eval_blocks(x_eval, 2.0 * h / degree):
-        x = x_eval[idx]
-        x0 = 0.5 * (x.min(axis=0) + x.max(axis=0))
-        G = np.zeros((idx.size, n_pairs + n))
-        cnt = np.zeros(idx.size, dtype=np.int64)
-        for lo in range(0, J, _DESIGN_SLAB):
-            us = u[lo : lo + _DESIGN_SLAB]
-            w = w_buf[: idx.size, : us.shape[0]]
-            np.subtract(us[None, :, 0], x[:, None, 0], out=w)
-            w /= h
-            if d == 1:
-                kern.pdf(w, out=w)
-            else:
-                np.multiply(w, w, out=w)
-                t = t_buf[: idx.size, : us.shape[0]]
-                for k in range(1, d):
-                    np.subtract(us[None, :, k], x[:, None, k], out=t)
-                    t /= h
-                    w += np.multiply(t, t, out=t)
-                kern.radial_profile(w, out=w)
-            cnt += np.greater(w, 0.0, out=pos_buf[: idx.size, : us.shape[0]]).sum(axis=1)
-            phi = _basis((us - x0) / h, n)
-            zs = z[lo : lo + _DESIGN_SLAB, None]
-            G += w @ np.hstack([phi[:, iu] * phi[:, ju], zs * phi])
-        S_s = np.empty((idx.size, n, n))
-        S_s[:, iu, ju] = G[:, :n_pairs]
-        S_s[:, ju, iu] = G[:, :n_pairs]
-        A = _shift_matrix((x - x0) / h, n)
-        S[idx] = A @ S_s @ A.transpose(0, 2, 1)
-        r[idx] = (A @ G[:, n_pairs:, None])[:, :, 0]
-        count[idx] = cnt
+    # A (u - x)/h that overflows gives a weight of 0 and moments of inf or NaN,
+    # so its fit fails on the pivot: numpy need not warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx in _eval_blocks(x_eval, 2.0 * h / degree):
+            x = x_eval[idx]
+            x0 = 0.5 * (x.min(axis=0) + x.max(axis=0))
+            G = np.zeros((idx.size, n_pairs + n))
+            cnt = np.zeros(idx.size, dtype=np.int64)
+            for lo in range(0, J, _DESIGN_SLAB):
+                us = u[lo : lo + _DESIGN_SLAB]
+                w = w_buf[: idx.size, : us.shape[0]]
+                np.subtract(us[None, :, 0], x[:, None, 0], out=w)
+                w /= h
+                if d == 1:
+                    kern.pdf(w, out=w)
+                else:
+                    np.multiply(w, w, out=w)
+                    t = t_buf[: idx.size, : us.shape[0]]
+                    for k in range(1, d):
+                        np.subtract(us[None, :, k], x[:, None, k], out=t)
+                        t /= h
+                        w += np.multiply(t, t, out=t)
+                    kern.radial_profile(w, out=w)
+                cnt += np.greater(w, 0.0, out=pos_buf[: idx.size, : us.shape[0]]).sum(axis=1)
+                phi = _basis((us - x0) / h, n)
+                zs = z[lo : lo + _DESIGN_SLAB, None]
+                G += w @ np.hstack([phi[:, iu] * phi[:, ju], zs * phi])
+            S_s = np.empty((idx.size, n, n))
+            S_s[:, iu, ju] = G[:, :n_pairs]
+            S_s[:, ju, iu] = G[:, :n_pairs]
+            A = _shift_matrix((x - x0) / h, n)
+            S[idx] = A @ S_s @ A.transpose(0, 2, 1)
+            r[idx] = (A @ G[:, n_pairs:, None])[:, :, 0]
+            count[idx] = cnt
     return S, r, count
 
 
 def _intercept_fit(S: np.ndarray, r: np.ndarray, count: np.ndarray):
-    """Solve S a = e1 at every point: (a, value, flag).
+    """Solve S a = e1 at every point: (a, value, flag, relative pivot).
 
     ``value = a . r`` is NaN where the fit fails; flag codes are 0=ok,
     1=near_singular, 2=failed (fewer than n weighted points, or a relative
@@ -325,7 +331,7 @@ def _intercept_fit(S: np.ndarray, r: np.ndarray, count: np.ndarray):
     near = ok & (rel_piv < PIVOT_WARN_TOL)
     value = np.where(ok, np.einsum("ck,ck->c", a, r), np.nan)
     flag = np.where(ok, np.where(near, 1, 0), 2).astype(np.int8)
-    return a, value, flag
+    return a, value, flag, rel_piv
 
 
 def _grid_fit_1d(
@@ -349,7 +355,7 @@ def _grid_fit_1d(
     S, r, count = _local_moments(
         u[:, None], np.asarray(z, dtype=float), degree, kern, h, x_eval[:, None]
     )
-    a, value, flag = _intercept_fit(S, r, count)
+    a, value, flag, _ = _intercept_fit(S, r, count)
     return {"value": value, "flag": flag, "count": count, "alpha": a,
             "self_w": kern.at_zero * a[:, 0]}
 
@@ -410,14 +416,17 @@ def grid_fit_with_widening(
     """Grid fit that optionally rescues failed points with doubled bandwidths.
 
     A (J,) design runs the univariate fit of the given degree; a (J, d)
-    design with (M, d) evaluation points runs the d-variate local linear fit.
-    A rescued point takes every entry of its retry; ``h`` holds the
-    bandwidth each point was last fitted at.
+    design with (M, d) evaluation points runs the d-variate local linear fit,
+    on the design's lattice where ``_design_lattice`` serves the points of
+    that fit or retry, else on the exact engine (``_grid_fit_multi``); the
+    flags, and so the points retried, are the engine's either way.  A
+    rescued point takes every entry of its retry; ``h`` holds the bandwidth
+    each point was last fitted at.
     """
     def fit(h_fit, x):
         if np.ndim(u) == 1:
             return _grid_fit_1d(u, z, degree, kern, h_fit, x)
-        return grid_fit_local_linear_multi(u, z, kern, h_fit, x)
+        return _grid_fit_multi(u, z, kern, h_fit, x)
 
     res = fit(h, x_eval)
     res["h"] = np.full(res["flag"].shape[0], float(h))
@@ -885,15 +894,57 @@ def grid_fit_local_linear_multi(
 
     ``centers`` is (J, d), ``x_eval`` is (M, d).  Weights use the kernel's
     spherically symmetric radial profile.  Returns the univariate grid fit's
-    ``value``, ``flag``, ``count`` and ``self_w``.
+    ``value``, ``flag``, ``count`` and ``self_w``.  This is the exact engine:
+    ``_grid_fit_multi`` runs the same fit on the design's lattice where that
+    is cheaper.
     """
     S, r, count = _local_moments(
         np.asarray(centers, dtype=float), np.asarray(z, dtype=float), 1, kern, h,
         np.asarray(x_eval, dtype=float),
     )
-    a, value, flag = _intercept_fit(S, r, count)
+    a, value, flag, _ = _intercept_fit(S, r, count)
     # radial_profile(0) == 1 for every family, so the self weight is a_0
     return {"value": value, "flag": flag, "count": count, "self_w": a[:, 0]}
+
+
+def _grid_fit_multi(centers, z, kern: Kernel, h, x_eval):
+    """``grid_fit_local_linear_multi``'s fit, on the design's lattice where that applies.
+
+    Where ``_design_lattice`` serves x_eval, ``_lattice_moments`` forms the
+    moments, exact to rounding, and ``_intercept_fit`` solves them, so values
+    move from the engine's by about eps times the moment matrix's condition
+    number.  Flags are the engine's on every point.  A fit needs d + 1
+    weighted points: the lattice's upper count settles that where it is below
+    d + 1 and its lower count where that is at least d + 1.  The relative
+    pivot settles the rest unless it lies within rounding of
+    ``PIVOT_REL_TOL`` or ``PIVOT_WARN_TOL``.  Rounding is taken as n^2 sqrt(N)
+    eps, N the J + prod(n_k) terms the two fits sum: the typical error of a
+    sum of N terms is sqrt(N) eps of the largest (Higham 2002, sec. 4.2),
+    and the elimination's multipliers, at most 1, carry a moment's error to
+    a pivot at most n^2 times over.  The points these leave undecided are
+    refitted by the engine, which also runs the whole fit where the lattice
+    does not apply.  ``count`` is the upper count at the other points: it can
+    exceed the engine's where far weights underflow.
+    """
+    lattice = _design_lattice(centers, z, kern, x_eval)
+    if lattice is None:
+        return grid_fit_local_linear_multi(centers, z, kern, h, x_eval)
+    values, sources, at = lattice
+    S, r, lower, upper = _lattice_moments(values, sources, at, kern, h)
+    a, value, flag, rel_piv = _intercept_fit(S, r, upper)
+    J, d = centers.shape
+    n = d + 1
+    slack = n * n * math.sqrt(J + sources[0].size) * np.finfo(float).eps
+    near = ((np.abs(rel_piv - PIVOT_REL_TOL) <= slack)
+            | (np.abs(rel_piv - PIVOT_WARN_TOL) <= slack))
+    undecided = np.flatnonzero((upper >= n) & (rel_piv >= PIVOT_REL_TOL - slack)
+                               & ((lower < n) | near))
+    res = {"value": value, "flag": flag, "count": upper, "self_w": a[:, 0]}
+    if undecided.size:
+        exact = grid_fit_local_linear_multi(centers, z, kern, h, x_eval[undecided])
+        for key, val in exact.items():
+            res[key][undecided] = val
+    return res
 
 
 # Constant of the lattice screen's rounding bound (see ``_lattice_bounds``):
@@ -904,77 +955,111 @@ def grid_fit_local_linear_multi(
 _LATTICE_ERROR = 16.0
 
 
-def _lattice_bounds(centers, z, kern: Kernel, cands, picks):
-    """Lattice root CV score of each candidate, and a lower bound on the exact one.
+def _design_lattice(centers, z, kern: Kernel, x):
+    """The lattice of the design's distinct values per axis, where it serves x.
 
-    Every design lies on the tensor-product lattice of its distinct values per
-    axis.  ``_lattice_moments`` forms each candidate's local linear moments
-    at the scoring points ``picks`` there, exact to rounding since no point
-    moves, and ``_screen_scores`` scores them, each point its own node.
-    Rounding moves a moment by a few ulps of the moment matrix's norm, so the
-    bound's scale is ``_LATTICE_ERROR * eps * max|z|``, the constant measured.
-
-    The lattice is used when its matrix work, ``prod(n_k) * sum(n_k)`` over
-    the n_k distinct values per axis, is less than the exact search's
-    ``J * len(picks)`` kernel weights per candidate.  root is inf and lower
-    -inf for every candidate with a kernel other than the gaussian, a design
-    that is not worth a lattice, or a non-finite design or z.
+    Every design lies on the tensor-product lattice of its distinct values
+    per axis.  Returns ``(values, sources, at)`` for ``_lattice_moments``:
+    each axis's distinct values, the count of design points and the sum of
+    their z at each node, and the node indices per axis of each point of x.
+    Returns None where the lattice does not apply or does not pay: a kernel
+    other than the gaussian, a non-finite design or z, a point of x off the
+    lattice, or matrix work ``prod(n_k) * sum(n_k)`` over the n_k distinct
+    values per axis not less than the exact engine's ``J * len(x)`` kernel
+    weights.
     """
-    C = cands.shape[0]
     J, d = centers.shape
+    if (kern.family != "gaussian"
+            or not (np.isfinite(centers).all() and np.isfinite(z).all())):
+        return None
     values, inverse = zip(*(np.unique(centers[:, k], return_inverse=True)
                             for k in range(d)))
     shape = tuple(v.size for v in values)
     size = math.prod(shape)
-    if (kern.family != "gaussian" or size * sum(shape) >= J * picks.shape[0]
-            or not (np.isfinite(centers).all() and np.isfinite(z).all())):
-        return np.full(C, np.inf), np.full(C, -np.inf)
-
+    if size * sum(shape) >= J * x.shape[0]:
+        return None
+    at = tuple(np.minimum(np.searchsorted(v, x[:, k]), v.size - 1)
+               for k, v in enumerate(values))
+    if not all((v[i] == x[:, k]).all() for k, (v, i) in enumerate(zip(values, at))):
+        return None
     node = np.ravel_multi_index(tuple(inv.ravel() for inv in inverse), shape)
     sources = (np.bincount(node, minlength=size).astype(float).reshape(shape),
                np.bincount(node, z, size).reshape(shape))
-    at = np.unravel_index(node[picks], shape)
-    S, r, count = (np.stack(m) for m in zip(
-        *(_lattice_moments(values, sources, kern, h, at) for h in cands)))
+    return values, sources, at
+
+
+def _lattice_bounds(centers, z, kern: Kernel, cands, picks):
+    """Lattice root CV score of each candidate, and a lower bound on the exact one.
+
+    ``_lattice_moments`` forms each candidate's local linear moments at the
+    scoring points ``picks`` on the design's lattice (``_design_lattice``),
+    exact to rounding since no point moves, and ``_screen_scores`` scores
+    them, each point its own node; a node is ok where the lattice's upper
+    count reaches d + 1.  Rounding moves a moment by a few ulps of the moment
+    matrix's norm, so the bound's scale is ``_LATTICE_ERROR * eps * max|z|``,
+    the constant measured.  root is inf and lower -inf for every candidate
+    where the lattice does not apply or does not pay.
+    """
+    C = cands.shape[0]
+    lattice = _design_lattice(centers, z, kern, centers[picks])
+    if lattice is None:
+        return np.full(C, np.inf), np.full(C, -np.inf)
+    S, r, _, count = (np.stack(m) for m in zip(
+        *(_lattice_moments(*lattice, kern, h) for h in cands)))
     own = np.arange(picks.shape[0])
     # radial_profile(0) == 1, so the leverage is a_0
-    return _screen_scores(S, r, count >= d + 1, 1.0, z[picks], own, own, 0.0,
+    return _screen_scores(S, r, count >= centers.shape[1] + 1, 1.0, z[picks], own,
+                          own, 0.0,
                           _LATTICE_ERROR * np.finfo(float).eps * float(np.abs(z).max()))
 
 
-def _lattice_moments(values, sources, kern: Kernel, h, at):
-    """Exact local linear moments at lattice nodes: (S, r, count) as ``_local_moments``.
+def _lattice_moments(values, sources, at, kern: Kernel, h):
+    """Exact local linear moments at lattice nodes: (S, r, lower, upper).
 
-    ``values`` holds each axis's distinct values, ``sources`` the count of
-    design points and the sum of their z at each node of the lattice they
-    span, and ``at`` the nodes' indices per axis.  The gaussian profile
-    factors over the axes: exp(-|t|^2/2) is the product of exp(-t_k^2/2).
-    With F a source and ``K_k[p][a, i] = t^p exp(-t^2/2)``, ``t = (v_i -
-    v_a)/h`` over axis k's values v, every moment ``sum_j w_j t_1^p1 ..
-    t_d^pd`` (and its z-weighted twin) at every node is F contracted one axis
-    at a time with ``K_k[p_k]``: ``K_1[p] @ F @ K_2[q]^T`` for d = 2.  The
-    count of weighted points is contracted from the indicators ``K_k[0] > 0``
-    and can exceed the engine's where far weights underflow.
+    ``values``, ``sources`` and ``at`` are ``_design_lattice``'s: each
+    axis's distinct values, the count of design points and the sum of their
+    z at each node of the lattice they span, and the nodes' indices per axis.
+    S and r are ``_local_moments``'; lower and upper bound its count of
+    weighted points.  The gaussian profile factors over the axes:
+    exp(-|t|^2/2) is the product of exp(-t_k^2/2).  With F a source and
+    ``K_k[p][a, i] = t^p exp(-t^2/2)``, ``t = (v_i - v_a)/h`` over axis k's
+    values v, formed as the engine forms (u - x)/h, every moment ``sum_j w_j
+    t_1^p1 .. t_d^pd`` (and its z-weighted twin) at every node is F contracted
+    one axis at a time with ``K_k[p_k]``: ``K_1[p] @ F @ K_2[q]^T`` for d = 2.
+    The counts are contracted from indicators.  The upper one's, ``K_k[0] >
+    0``, hold wherever the engine's weight is positive; it exceeds the
+    engine's count where a weight underflows as a whole but not axis by axis.
+    The lower one's, ``t^2 <= T/d`` with ``exp(-T/2)`` the smallest normal
+    double, put |t|^2 at most T, where the engine's weight is positive.
     """
     d = len(values)
     n = d + 1
     iu, ju = np.triu_indices(n)
     # the basis (1, t_1, .., t_d) as exponents per axis; moments as (source,
-    # exponents), the last the count, whose "exponent" 3 is the indicator
+    # exponents), the last two the counts, whose "exponents" 3 and 4 are the
+    # upper and the lower indicator
     powers = np.vstack([np.zeros(d, dtype=int), np.eye(d, dtype=int)])
     jobs = ([(0, tuple(e)) for e in powers[iu] + powers[ju]]
-            + [(1, tuple(e)) for e in powers] + [(0, (3,) * d)])
+            + [(1, tuple(e)) for e in powers] + [(0, (3,) * d), (0, (4,) * d)])
+    t2_lower = -2.0 * math.log(np.finfo(float).tiny) / d
     mats = []
     for v in values:
-        t = (v[None, :] - v[:, None]) / h
-        k0 = kern.radial_profile(t * t)
-        mats.append((k0, t * k0, t * t * k0, (k0 > 0.0).astype(float)))
+        # far nodes can overflow t or t^2 to inf; their weight is 0 and so are
+        # their moments
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = (v[None, :] - v[:, None]) / h
+            k0 = kern.radial_profile(t * t)
+            live = k0 > 0.0
+            mats.append((k0, np.where(live, t * k0, 0.0),
+                         np.where(live, t * t * k0, 0.0), live.astype(float),
+                         (t * t <= t2_lower).astype(float)))
     done = {}
     G = np.stack([_contract(sources, mats, src, e, done)[at] for src, e in jobs], axis=1)
     S = np.empty((G.shape[0], n, n))
     S[:, iu, ju] = G[:, : iu.size]
     S[:, ju, iu] = G[:, : iu.size]
-    return S, G[:, iu.size : -1], G[:, -1]
+    upper, lower = G[:, -2:].astype(np.int64).T
+    return S, G[:, iu.size : -2], lower, upper
 
 
 def _contract(sources, mats, src, e, done):

@@ -209,6 +209,11 @@ def _cmd_estimate(opt) -> int:
         seed = _require_seed(opt, "random pooling") if name == "DM" else None
         x = raw.covariates.reshape(raw.n, -1)
         region = tuple(zip(x.min(axis=0).tolist(), x.max(axis=0).tolist()))
+        constant = [k for k, (lo, hi) in enumerate(region) if lo == hi]
+        if name == "DH_binned" and constant:
+            column = "x" if constant[0] == 0 else f"x{constant[0] + 1}"
+            raise CliError(f"covariate {column} is constant: dh_binned bins the "
+                           "range of every covariate, so each needs two values")
         data = pool_step(name, raw, opt["nu"], region, seed)
 
     if name == "DH_binned" and data.dimension > 1:
@@ -389,9 +394,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_options(parser, command: str, path: str) -> dict:
     """The options a config file sets, parsed as flags by the command's parser."""
-    cfg = json.loads(Path(path).read_text())
+    try:
+        cfg = json.loads(Path(path).read_text())
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise CliError(f"config file {path} is not JSON: {exc}") from None
     if not isinstance(cfg, dict):
-        raise CliError("config file must hold a JSON object")
+        raise CliError(f"config file {path} must hold a JSON object")
     tokens = []
     for key, value in cfg.items():
         flag = "--" + key.replace("_", "-")

@@ -26,12 +26,11 @@ the design first (Fan & Marron 1994): FFT convolutions give all candidates'
 binned scores for about the cost of one exact score.  A bound on the binning
 error (Hall & Wand 1996) then rules candidates out, and every candidate it
 cannot rule out is scored exactly by ``loo_cv_score``, so the choice is the
-exhaustive search's (see ``select_bandwidth``).  The d-variate search screens
-the same way with exact moments on the lattice of the design's distinct
-values per axis, where the gaussian weights factor (Wand 1994); only rounding
-separates them from the exact scores (see ``select_bandwidth_multi``).  Both
-screens only form moments: one step, ``_screen_scores``, turns them into each
-candidate's score and error bound.
+exhaustive search's (see ``select_bandwidth``); ``_screen_scores`` turns the
+binned moments into each candidate's score and error bound.  The d-variate
+search needs no screen: it scores every candidate with the d-variate fit,
+whose moments on the lattice are exact to rounding, as the gaussian weights
+factor over the axes there (Wand 1994; see ``select_bandwidth_multi``).
 """
 
 from __future__ import annotations
@@ -319,17 +318,20 @@ def _intercept_fit(S: np.ndarray, r: np.ndarray, count: np.ndarray):
     """Solve S a = e1 at every point: (a, value, flag, relative pivot).
 
     ``value = a . r`` is NaN where the fit fails; flag codes are 0=ok,
-    1=near_singular, 2=failed (fewer than n weighted points, or a relative
-    pivot below ``PIVOT_REL_TOL``).
+    1=near_singular, 2=failed (fewer than n weighted points, a relative
+    pivot below ``PIVOT_REL_TOL``, or a value that is not finite: weights
+    near the smallest normal double can pass the pivot test and still
+    overflow the solve).
     """
     M, n, _ = S.shape
     e1 = np.zeros((M, n, 1))
     e1[:, 0, 0] = 1.0
     a, rel_piv = _solve_batched(S, e1)
     a = a[:, :, 0]
-    ok = (count >= n) & (rel_piv >= PIVOT_REL_TOL)
+    value = np.einsum("ck,ck->c", a, r)
+    ok = (count >= n) & (rel_piv >= PIVOT_REL_TOL) & np.isfinite(value)
     near = ok & (rel_piv < PIVOT_WARN_TOL)
-    value = np.where(ok, np.einsum("ck,ck->c", a, r), np.nan)
+    value = np.where(ok, value, np.nan)
     flag = np.where(ok, np.where(near, 1, 0), 2).astype(np.int8)
     return a, value, flag, rel_piv
 
@@ -611,32 +613,32 @@ def loo_cv_score(
     return _loo_score(res, z[eval_idx])
 
 
-def _screen_scores(S, r, ok, k0, z_at, lo, hi, w, scale):
+def _screen_scores(S, r, k0, z_at, lo, hi, w, scale):
     """Screened root CV score of each candidate, and a lower bound on the exact one.
 
     ``S`` (C, N, n, n) and ``r`` (C, N, n) are candidate c's local moments at
-    N nodes, and ``ok`` (C, N) marks nodes with enough weighted points.  Each
-    node's fit gives a value and a leverage ``k0 a_0``, as in
+    N nodes.  Each node's fit gives a value and a leverage ``k0 a_0``, as in
     ``_intercept_fit``; scoring point i takes ``1 - w_i`` of node ``lo_i``'s
     and ``w_i`` of node ``hi_i``'s, and the root is the RMS of its
     ``_loo_residuals``.
 
-    Each screen bounds the error of its moments, in the units of z, by
-    ``scale`` per candidate.  A residual's error is that amplified by the
-    moment matrix's Frobenius condition number kappa and by the division by
-    1 - l, and by the triangle inequality the root moves by at most the RMS of
-    those errors, so ``|sqrt(screened) - sqrt(exact)| <= E`` with
+    The screen (``_screen_bounds``) bounds the error of its moments, in the
+    units of z, by ``scale`` per candidate.  A residual's error is that
+    amplified by the moment matrix's Frobenius condition number kappa and by
+    the division by 1 - l, and by the triangle inequality the root moves by at
+    most the RMS of those errors, so ``|sqrt(screened) - sqrt(exact)| <= E``
+    with
 
         E = scale * RMS_i(kappa_i / (1 - l_i)^2),
 
     kappa_i the larger of point i's two nodes'.  Returns (root, lower): inf
-    and -inf for a candidate with a node not ok or with a relative pivot below
+    and -inf for a candidate with a node whose relative pivot is below
     ``PIVOT_REL_TOL``, a leverage near one, or a root or bound not finite.
     """
     C, N, n = r.shape
     S = S.reshape(-1, n, n)
     S_inv, rel_piv = _solve_batched(S, np.broadcast_to(np.eye(n), S.shape))
-    ok = ok & (rel_piv >= PIVOT_REL_TOL).reshape(C, N)
+    ok = (rel_piv >= PIVOT_REL_TOL).reshape(C, N)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         kappa = np.sqrt((S * S).sum(axis=(1, 2)) * (S_inv * S_inv).sum(axis=(1, 2)))
         value = np.einsum("ck,ck->c", S_inv[:, :, 0], r.reshape(-1, n))
@@ -707,7 +709,7 @@ def _screen_bounds(u, z, degree, kern: Kernel, cands, eval_idx):
 
     S = mom[:, np.add.outer(np.arange(n), np.arange(n))].transpose(0, 3, 1, 2)
     r = mom[:, 2 * degree + 1 :].transpose(0, 2, 1)
-    return _screen_scores(S, r, True, kern.at_zero, z[eval_idx], at[:n_eval],
+    return _screen_scores(S, r, kern.at_zero, z[eval_idx], at[:n_eval],
                           at[n_eval:], frac[eval_idx],
                           _SCREEN_ERROR * (delta / cands) ** 2 * half_range)
 
@@ -715,8 +717,9 @@ def _screen_bounds(u, z, degree, kern: Kernel, cands, eval_idx):
 def _cv_scores(root, lower, score, z) -> np.ndarray:
     """Exact LOO CV score of every candidate that could be chosen; inf for the rest.
 
-    ``root`` is each candidate's screened root score, ``lower`` a lower bound on
-    the root of its exact score, and ``score(i)`` scores candidate i exactly.
+    This is the univariate search's.  ``root`` is each candidate's binned root
+    score, ``lower`` a lower bound on the root of its exact score, and
+    ``score(i)`` scores candidate i exactly.
     Candidates are scored exactly, the screened best first and then in order of
     their lower bounds.  The search stops at the first candidate whose bound
     proves its score above the best exact score so far plus ``_cv_tie``: it and
@@ -910,6 +913,8 @@ def grid_fit_local_linear_multi(
 def _grid_fit_multi(centers, z, kern: Kernel, h, x_eval):
     """``grid_fit_local_linear_multi``'s fit, on the design's lattice where that applies.
 
+    It is the d-variate fit: the CV search scores every candidate with it,
+    and ``grid_fit_with_widening`` runs the final fit and its retries on it.
     Where ``_design_lattice`` serves x_eval, ``_lattice_moments`` forms the
     moments, exact to rounding, and ``_intercept_fit`` solves them, so values
     move from the engine's by about eps times the moment matrix's condition
@@ -921,10 +926,11 @@ def _grid_fit_multi(centers, z, kern: Kernel, h, x_eval):
     eps, N the J + prod(n_k) terms the two fits sum: the typical error of a
     sum of N terms is sqrt(N) eps of the largest (Higham 2002, sec. 4.2),
     and the elimination's multipliers, at most 1, carry a moment's error to
-    a pivot at most n^2 times over.  The points these leave undecided are
-    refitted by the engine, which also runs the whole fit where the lattice
-    does not apply.  ``count`` is the upper count at the other points: it can
-    exceed the engine's where far weights underflow.
+    a pivot at most n^2 times over.  The points these leave undecided, and
+    those whose lattice value is not finite (the engine's may be finite
+    there), are refitted by the engine, which also runs the whole fit where
+    the lattice does not apply.  ``count`` is the upper count at the other
+    points: it can exceed the engine's where far weights underflow.
     """
     lattice = _design_lattice(centers, z, kern, x_eval)
     if lattice is None:
@@ -938,7 +944,7 @@ def _grid_fit_multi(centers, z, kern: Kernel, h, x_eval):
     near = ((np.abs(rel_piv - PIVOT_REL_TOL) <= slack)
             | (np.abs(rel_piv - PIVOT_WARN_TOL) <= slack))
     undecided = np.flatnonzero((upper >= n) & (rel_piv >= PIVOT_REL_TOL - slack)
-                               & ((lower < n) | near))
+                               & ((lower < n) | near | ~np.isfinite(value)))
     res = {"value": value, "flag": flag, "count": upper, "self_w": a[:, 0]}
     if undecided.size:
         exact = grid_fit_local_linear_multi(centers, z, kern, h, x_eval[undecided])
@@ -947,21 +953,15 @@ def _grid_fit_multi(centers, z, kern: Kernel, h, x_eval):
     return res
 
 
-# Constant of the lattice screen's rounding bound (see ``_lattice_bounds``):
-# 20 times the largest error seen, |sqrt(lattice) - sqrt(exact)| = 0.81 bounds,
-# over about 21,500 candidate scores on dense, sparse and Beta-distributed
-# binned designs in d = 2 and 3 with binary and smooth z, default and
-# explicit grids, and 70 x 70-bin designs like the binned_2d benchmark's.
-_LATTICE_ERROR = 16.0
-
-
 def _design_lattice(centers, z, kern: Kernel, x):
     """The lattice of the design's distinct values per axis, where it serves x.
 
     Every design lies on the tensor-product lattice of its distinct values
-    per axis.  Returns ``(values, sources, at)`` for ``_lattice_moments``:
-    each axis's distinct values, the count of design points and the sum of
-    their z at each node, and the node indices per axis of each point of x.
+    per axis.  ``_grid_fit_multi`` asks for it on every fit, each of the CV
+    search's candidates included.  Returns ``(values, sources, at)`` for
+    ``_lattice_moments``: each axis's distinct values, the count of design
+    points and the sum of their z at each node, and the node indices per
+    axis of each point of x.
     Returns None where the lattice does not apply or does not pay: a kernel
     other than the gaussian, a non-finite design or z, a point of x off the
     lattice, or matrix work ``prod(n_k) * sum(n_k)`` over the n_k distinct
@@ -986,31 +986,6 @@ def _design_lattice(centers, z, kern: Kernel, x):
     sources = (np.bincount(node, minlength=size).astype(float).reshape(shape),
                np.bincount(node, z, size).reshape(shape))
     return values, sources, at
-
-
-def _lattice_bounds(centers, z, kern: Kernel, cands, picks):
-    """Lattice root CV score of each candidate, and a lower bound on the exact one.
-
-    ``_lattice_moments`` forms each candidate's local linear moments at the
-    scoring points ``picks`` on the design's lattice (``_design_lattice``),
-    exact to rounding since no point moves, and ``_screen_scores`` scores
-    them, each point its own node; a node is ok where the lattice's upper
-    count reaches d + 1.  Rounding moves a moment by a few ulps of the moment
-    matrix's norm, so the bound's scale is ``_LATTICE_ERROR * eps * max|z|``,
-    the constant measured.  root is inf and lower -inf for every candidate
-    where the lattice does not apply or does not pay.
-    """
-    C = cands.shape[0]
-    lattice = _design_lattice(centers, z, kern, centers[picks])
-    if lattice is None:
-        return np.full(C, np.inf), np.full(C, -np.inf)
-    S, r, _, count = (np.stack(m) for m in zip(
-        *(_lattice_moments(*lattice, kern, h) for h in cands)))
-    own = np.arange(picks.shape[0])
-    # radial_profile(0) == 1, so the leverage is a_0
-    return _screen_scores(S, r, count >= centers.shape[1] + 1, 1.0, z[picks], own,
-                          own, 0.0,
-                          _LATTICE_ERROR * np.finfo(float).eps * float(np.abs(z).max()))
 
 
 def _lattice_moments(values, sources, at, kern: Kernel, h):
@@ -1085,18 +1060,15 @@ def select_bandwidth_multi(
 ) -> float:
     """Leave-one-out CV bandwidth for the d-variate local linear smoother.
 
-    The LOO score is taken at up to 400 design points.  The search is screened
-    like ``select_bandwidth``'s (``_cv_scores``): every candidate first gets a
-    lattice score from exact moments on the tensor-product lattice of the
-    design's distinct values per axis, and a bound on that score's rounding
-    error (``_lattice_bounds``).  Candidates are then scored exactly through
-    ``grid_fit_local_linear_multi``, the lattice best first, until the bounds
-    prove every remaining one worse than the best exact score by more than
-    ``_cv_choice``'s tie tolerance; those keep an infinite score.  A candidate
-    whose lattice fit fails is always scored exactly.  The choice, and the
-    BandwidthError where every candidate fails, are the exhaustive search's.
-    Every candidate is scored exactly, in grid order, with a kernel other than
-    the gaussian and on a design whose lattice costs more than that search.
+    The LOO score is taken at up to 400 design points.  Every candidate is
+    scored, in grid order, with the fit that also runs the final grid,
+    ``_grid_fit_multi``.  With the gaussian kernel its moments come from the
+    tensor-product lattice of the design's distinct values per axis, exact to
+    rounding, and its flags are the exact engine's, so a candidate fails
+    where the exhaustive exact search's fails.  Other kernels, and designs
+    whose lattice costs more than the engine, are scored on the engine.
+    ``_cv_choice`` chooses, and raises BandwidthError where every candidate
+    fails.
     """
     if rule.mode == "fixed":
         return float(rule.h)
@@ -1117,11 +1089,8 @@ def select_bandwidth_multi(
     else:
         picks = np.arange(J)
 
-    def exact(i):
-        return _loo_score(
-            grid_fit_local_linear_multi(centers, z, kern, float(cands[i]), centers[picks]),
-            z[picks],
-        )
-
-    scores = _cv_scores(*_lattice_bounds(centers, z, kern, cands, picks), exact, z)
+    scores = np.array([
+        _loo_score(_grid_fit_multi(centers, z, kern, float(h), centers[picks]), z[picks])
+        for h in cands
+    ])
     return _cv_choice(cands, scores, z)

@@ -133,9 +133,10 @@ def test_traced_table_cell_screens_the_bandwidth_search(kernel, tmp_path):
 
 @pytest.mark.parametrize("kernel", ["gaussian", "uniform"])
 def test_traced_binned_estimate_screens_the_bandwidth_search(kernel, tmp_path):
-    # a lattice screen that silently fell back to the exact search would pass
+    # a lattice search that silently fell back to the exact engine would pass
     # every correctness test and lose its speed; only the gaussian profile
-    # factors over the axes, so the uniform kernel must still score all 16
+    # factors over the axes, so the uniform kernel must still score all 16 on
+    # the engine and the gaussian none
     rng = np.random.default_rng(7)
     x = rng.uniform(size=(2 * 70 * 70, 2))
     y = (rng.random(x.shape[0]) < 0.02 + 0.1 * x[:, 0] * x[:, 1]).astype(np.int8)
@@ -157,4 +158,4 @@ def test_traced_binned_estimate_screens_the_bandwidth_search(kernel, tmp_path):
     if kernel == "uniform":
         assert exact == 16
     else:
-        assert exact < 16
+        assert exact == 0

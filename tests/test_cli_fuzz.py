@@ -220,3 +220,18 @@ def test_grid_far_outside_a_tiny_bin_region_does_not_warn(tmp_path, caplog, caps
     _run(_case("estimate", ["--input", "INPUT", "--estimator", "dh_binned", "--nu", "1",
                             "--grid", "0.2:0.8:5", "--bandwidth", "fixed:0.001"],
                x, np.zeros(5, dtype=int)), tmp_path, caplog, capsys)
+
+
+def test_fits_whose_solve_overflows_are_reported_failed(tmp_path, caplog, capsys):
+    """DM at h = 0.001 on 60 pooled rows (pools of 5, in random order) whose x
+    takes only the values 0.2698 and 0.6370: at grid points 37-38 h from both
+    values every weight is near the smallest normal double and the solve
+    overflows, so those points fail, like every other, rather than being
+    written as NaN without a failure."""
+    rng = np.random.default_rng(0)
+    x = rng.uniform(size=(60, 1))[rng.integers(0, 2, 60)]
+    y = (rng.random(60) < 0.1 + 0.3 * x[:, 0]).astype(int)
+    _run(_case("estimate_pooled", ["--input", "INPUT", "--estimator", "dm",
+                                   "--bandwidth", "fixed:0.001"], x, y),
+         tmp_path, caplog, capsys)
+    assert "failed_points=201 of 201" in caplog.text

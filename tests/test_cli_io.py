@@ -269,13 +269,16 @@ def data_csv(tmp_path):
 
 @pytest.fixture()
 def inputs(data_csv, tmp_path):
-    """Input files by placeholder: individual, pooled, no y column, bivariate."""
+    """Input files by placeholder: individual, pooled, no y column, bivariate
+    (also with a constant x2)."""
     raw = sample_replicate(make_model("iii"), 300, seed_stream(21))
     rng = np.random.default_rng(4)
     x2 = rng.uniform(size=(400, 2))
     biv = "x,x2,y\n" + "".join(f"{a},{b},{int(a > b)}\n" for a, b in x2)
     (tmp_path / "noy.csv").write_text("x\n0.1\n0.5\n0.9\n0.7\n")
     (tmp_path / "biv.csv").write_text(biv)
+    (tmp_path / "bivc.csv").write_text(
+        "x,x2,y\n" + "".join(f"{a},0.5,{int(a > 0.5)}\n" for a, _ in x2[:100]))
     x, y = raw.covariates, raw.responses
     for name, xs, ys in [("huge", x * 1e300, y), ("tiny", x * 1e-300, y),
                          ("pos", x, np.ones_like(y)), ("n23", x[:23], y[:23])]:
@@ -286,6 +289,7 @@ def inputs(data_csv, tmp_path):
         "POOLED": str(write_pooled_csv(pool_homogeneous(raw, 5), tmp_path / "p.csv")),
         "NOY": str(tmp_path / "noy.csv"),
         "BIV": str(tmp_path / "biv.csv"),
+        "BIVC": str(tmp_path / "bivc.csv"),
         # the covariate times 1e300 and 1e-300, y = 1 throughout, and 23 rows
         "HUGE": str(tmp_path / "huge.csv"),
         "TINY": str(tmp_path / "tiny.csv"),
@@ -476,6 +480,8 @@ class TestCli:
         (["estimate", "--input", "BIV", "--estimator", "dm", "--nu", "5", "--seed",
           "1"], "random pooling is univariate; of the estimators, only dh_binned "
          "takes d-variate input"),
+        (["estimate", "--input", "BIVC", "--estimator", "dh_binned", "--nu", "4"],
+         "covariate x2 is constant"),
     ])
     def test_bad_option_value_is_a_clean_error(self, argv, message, inputs,
                                                tmp_path, caplog):
@@ -769,6 +775,18 @@ class TestConfigFile:
         assert self.run_with_config(
             tmp_path, {"nu": 2}, argv + ["--out", str(by_config)]) == 0
         assert _outputs(by_flags) == _outputs(by_config)
+
+    @pytest.mark.parametrize("text", ["", "nu: 2\n", "{\"nu\": 2"])
+    def test_config_that_is_not_json_is_named(self, text, tmp_path, caplog):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        out = tmp_path / "o"
+        with caplog.at_level(logging.ERROR, logger="poolreg"):
+            code = main(["--config", str(path), "simulate", "--seed", "1",
+                         "--out", str(out)])
+        assert code == 2
+        assert f"config file {path} is not JSON: " in caplog.text
+        assert not out.exists()
 
     def test_config_value_gets_the_flag_choices(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

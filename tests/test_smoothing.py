@@ -477,23 +477,21 @@ def test_screened_search_returns_the_exhaustive_choice(case):
     (2, 1, GAUSSIAN), (2, 1, EPANECHNIKOV),
 ])
 def test_shared_scoring_step_reproduces_the_exact_loo_score(d, degree, kern):
-    """Both screens score through ``_screen_scores``.  Given the exact engine's
-    moments at the scoring points, each point its own node (lo == hi, w = 0),
-    and a zero error scale, its root squared is ``_loo_score`` of the exact
-    fit to rounding and its lower bound is its root; a candidate whose fits
-    fail (h = 1e-3) is unusable in both."""
+    """The binned screen scores through ``_screen_scores``.  Given the exact
+    engine's moments at the scoring points, each point its own node (lo == hi,
+    w = 0), and a zero error scale, its root squared is ``_loo_score`` of the
+    exact fit to rounding and its lower bound is its root; a candidate whose
+    fits fail (h = 1e-3) is unusable in both."""
     rng = np.random.default_rng(10 * d + degree)
     u = rng.uniform(size=(300, d))
     z = (rng.random(300) < 0.2 + 0.5 * u[:, 0]).astype(float)
     picks = np.arange(20, 280, 7)
     cands = np.array([1e-3, 0.15, 0.3, 0.6])
-    S, r, count = (np.stack(m) for m in zip(*(
+    S, r, _ = (np.stack(m) for m in zip(*(
         smoothing._local_moments(u, z, degree, kern, h, u[picks]) for h in cands)))
     own = np.arange(picks.size)
     k0 = kern.at_zero if d == 1 else 1.0  # radial_profile(0) == 1
-    root, lower = smoothing._screen_scores(
-        S, r, count >= r.shape[2], k0, z[picks], own, own, 0.0, 0.0
-    )
+    root, lower = smoothing._screen_scores(S, r, k0, z[picks], own, own, 0.0, 0.0)
     if d == 1:
         fits = [_grid_fit_1d(u[:, 0], z, degree, kern, h, u[picks, 0]) for h in cands]
     else:
@@ -654,31 +652,35 @@ def test_lattice_search_returns_the_exhaustive_choice(case):
     Designs are dense, sparse (most bins empty) or Beta-distributed binned
     pools in d = 2 or 3, with binary z* or smooth z; the grid is the default
     one or explicit candidates down to an h where far weights underflow.  The
-    oracle is ``_cv_choice`` over the exact score of every candidate, or the
-    same BandwidthError.  Where the lattice and the exact score are both
-    finite, the lattice's rounding bound holds with a factor 8 to spare.
+    search scores each candidate once, in grid order, with ``_grid_fit_multi``.
+    The oracle is ``_cv_choice`` over the exact score of every candidate, or
+    the same BandwidthError; the search's scores and the exact ones are finite
+    for the same candidates.
     """
     centers, z, kern, rule = case
-    with mock.patch.object(smoothing, "_lattice_bounds",
-                           wraps=smoothing._lattice_bounds) as spy:
+    with mock.patch.object(smoothing, "_grid_fit_multi",
+                           wraps=smoothing._grid_fit_multi) as spy, \
+            mock.patch.object(smoothing, "_loo_score",
+                              wraps=smoothing._loo_score) as loo:
         try:
             got = smoothing.select_bandwidth_multi(centers, z, kern, rule)
         except BandwidthError as exc:
             got = str(exc)
-    _, _, _, cands, picks = spy.call_args.args
+    cands = np.array([call.args[3] for call in spy.call_args_list])
+    if rule.candidates is not None:
+        np.testing.assert_array_equal(cands, sorted(rule.candidates))
+    x, z_at = spy.call_args.args[4], loo.call_args.args[1]
     scores = np.array([
         smoothing._loo_score(
-            smoothing.grid_fit_local_linear_multi(
-                centers, z, kern, h, centers[picks]
-            ),
-            z[picks],
+            smoothing.grid_fit_local_linear_multi(centers, z, kern, h, x), z_at
         )
         for h in cands
     ])
-    root, lower = smoothing._lattice_bounds(*spy.call_args.args)
-    both = np.isfinite(scores) & np.isfinite(lower)
-    error = np.abs(root[both] - np.sqrt(scores[both]))
-    assert (error <= (root[both] - lower[both]) / 8).all()
+    searched = np.array([
+        smoothing._loo_score(smoothing._grid_fit_multi(centers, z, kern, h, x), z_at)
+        for h in cands
+    ])
+    np.testing.assert_array_equal(np.isfinite(searched), np.isfinite(scores))
     try:
         want = smoothing._cv_choice(cands, scores, z)
     except BandwidthError as exc:

@@ -6,9 +6,13 @@ Three routes to the curve p(x) = P(positive | covariate x):
   equal-count) groups against the group means, then invert the power
   transform: p = 1 - mu^(1/nu) with mu = (1-p)^nu.
 * ``estimate_dm``: the random-pooling baseline; regress the pooled
-  positives on the individual covariates and undo the mixing with the
+  negatives on the individual covariates and undo the mixing with the
   moment estimate q = E{1 - p(X)}.
-* ``estimate_ll``: the oracle local polynomial fit on unpooled data.
+* ``estimate_ll``: the oracle local polynomial fit of the negatives 1 - y
+  on unpooled data.
+
+Every route smooths a pooled-negative response, so at nu = 1, where a pool
+is one individual, DH and LL give the same curve.
 
 ``estimate_dh_binned`` generalizes the first route to d covariates and
 unequal group sizes via equal-width bins, with a per-point exponent given
@@ -59,10 +63,10 @@ class EstimationError(ValueError):
 class EstimateResult:
     """Estimated curve on a grid, with clamping and failure bookkeeping.
 
-    ``mu_hat`` holds the raw linear-smoother output before clamping (the
-    pooled-negative curve for DH, the pooled-positive regression for DM,
-    the direct fit for LL).  ``p_hat`` is NaN wherever ``failures`` is
-    nonzero.
+    ``mu_hat`` holds the raw smoothed curve before clamping: the
+    pooled-negative curve for DH, the pooled-positive curve g = 1 - mu for
+    DM and the prevalence 1 - mu for LL.  ``p_hat`` is NaN wherever
+    ``failures`` is nonzero.
     """
 
     grid: np.ndarray
@@ -126,17 +130,15 @@ def _check_local_linear(name: str, spec: SmootherSpec) -> None:
         )
 
 
-def _smooth(u, z, spec: SmootherSpec, grid, widen_on_failure, *, negatives=True,
-            nu=1, n_raw):
+def _smooth(u, z, spec: SmootherSpec, grid, widen_on_failure, *, nu=1, n_raw):
     """Choose h, fit z on the grid and flag the points whose fit failed.
 
-    The bandwidth rules score the pooled-negative response: z itself, or
-    1 - z when ``negatives`` is false.  A (J, d) design takes the d-variate
-    cross-validated bandwidth.  Returns (fit, failures, h).
+    z is a pooled-negative response (1 for a negative test) for every
+    estimator, so at nu = 1 each one fits the same numbers.  A (J, d) design
+    takes the d-variate cross-validated bandwidth.  Returns (fit, failures, h).
     """
     if np.ndim(u) == 1:
-        design = np.column_stack([u, z if negatives else 1.0 - z])
-        h = resolve_bandwidth(design, spec, nu=nu, n_raw=n_raw)
+        h = resolve_bandwidth(np.column_stack([u, z]), spec, nu=nu, n_raw=n_raw)
     else:
         h = select_bandwidth_multi(u, z, spec.kernel, spec.bandwidth)
     res = grid_fit_with_widening(
@@ -183,7 +185,11 @@ def estimate_dh(
 def estimate_ll(
     raw: RawDataset, spec: SmootherSpec, grid, widen_on_failure: bool = False
 ) -> EstimateResult:
-    """Oracle local polynomial regression of the individual responses on x."""
+    """Oracle local polynomial regression of the individual responses on x.
+
+    It fits the negatives 1 - y, as DH fits its pools' Z*, and reports
+    p = 1 - mu: at nu = 1 the two curves are the same numbers.
+    """
     if raw.responses is None:
         raise EstimationError("estimate_ll needs individual responses")
     if raw.dimension != 1:
@@ -192,10 +198,11 @@ def estimate_ll(
     _check_grid_range(grid, float(raw.covariates.min()), float(raw.covariates.max()))
 
     order = np.argsort(raw.covariates, kind="stable")
-    p_raw, failures, h = _smooth(
-        raw.covariates[order], raw.responses[order].astype(float), spec, grid,
-        widen_on_failure, negatives=False, n_raw=raw.n,
+    mu, failures, h = _smooth(
+        raw.covariates[order], 1.0 - raw.responses[order], spec, grid,
+        widen_on_failure, n_raw=raw.n,
     )
+    p_raw = 1.0 - mu
     p_hat, clamp_flags = _clamp_unit(p_raw)
     return EstimateResult(grid, p_hat, p_raw, clamp_flags, failures, h, "LL", 1)
 
@@ -207,7 +214,8 @@ def estimate_dm(
 
     Valid only when groups were formed without regard to the covariates.
     g(x) = E(Y* | X=x) satisfies 1 - g = (1 - p) q^{nu-1} with
-    q = E{1 - p(X)}, estimated by (mean Z*)^{1/nu}.
+    q = E{1 - p(X)}, estimated by (mean Z*)^{1/nu}.  The smoother fits the
+    members' Z* = 1 - Y*, whose curve is 1 - g; ``mu_hat`` reports g.
     """
     if pooled.dimension != 1:
         raise EstimationError("estimate_dm is univariate")
@@ -230,14 +238,13 @@ def estimate_dm(
         )
 
     order = np.argsort(pooled.member_covariates, kind="stable")
-    g_raw, failures, h = _smooth(
-        pooled.member_covariates[order],
-        np.repeat(pooled.y_star, pooled.sizes())[order].astype(float), spec, grid,
-        widen_on_failure, negatives=False, n_raw=order.shape[0],
+    mu, failures, h = _smooth(
+        pooled.member_covariates[order], np.repeat(z_star, pooled.sizes())[order],
+        spec, grid, widen_on_failure, n_raw=order.shape[0],
     )
-    p_raw = 1.0 - (1.0 - g_raw) / q_hat ** (nu - 1)
+    p_raw = 1.0 - mu / q_hat ** (nu - 1)
     p_hat, clamp_flags = _clamp_unit(p_raw)
-    return EstimateResult(grid, p_hat, g_raw, clamp_flags, failures, h, "DM", nu)
+    return EstimateResult(grid, p_hat, 1.0 - mu, clamp_flags, failures, h, "DM", nu)
 
 
 def estimate_dh_binned(
@@ -367,6 +374,8 @@ def data_mode_diagnostics(
     density of the raw covariates.  As in ``asymptotic_diagnostics``,
     ``spec.degree`` must be 1.  Pools that all test positive leave q̂ = 0,
     where A1 is undefined, and are refused as ``estimate_dm`` refuses them.
+    A point of x where the density estimate is below 1e-300 is refused, as
+    ``asymptotic_diagnostics`` refuses a design density of zero.
     """
     if pooled.strategy != "homogeneous_sorted":
         raise EstimationError("data-mode diagnostics need homogeneous pools")
@@ -396,5 +405,10 @@ def data_mode_diagnostics(
     p2 = np.nan_to_num(der[:, 2])
 
     f_hat = _normal_reference_density(pooled.member_covariates, x, spec.kernel)
-    f_hat = np.maximum(f_hat, 1e-300)
+    under = np.flatnonzero(f_hat < 1e-300)
+    if under.size:
+        raise EstimationError(
+            f"the design density estimate underflows (below 1e-300) at x = "
+            f"{x[under[0]]:.6g}: keep the grid points near the data"
+        )
     return _diagnostic_formulas(x, p_pilot, p1, p2, f_hat, spec.kernel, nu, n, h, q_hat)

@@ -305,8 +305,10 @@ def pool_binned(
 def pooled_negative_probability(p_values) -> float:
     """Probability that a pool of independent members tests negative.
 
-    Exactly prod(1 - p_i); this is both the simulator's sampling probability
-    for a pooled outcome and the oracle the estimators are tested against.
+    Exactly prod(1 - p_i).  The simulator does not sample from it: it draws
+    every member's response, and a pool tests positive when any member does,
+    so it tests negative with this probability.  The tests use it as that
+    oracle.
     """
     p = np.asarray(p_values, dtype=float)
     if p.size == 0:

@@ -812,6 +812,9 @@ def _plugin_bandwidth(u, z, spec, cands, h_cv, nu, n_raw, collapsed=False):
     kern = spec.kernel
     n_raw = int(n_raw) if n_raw is not None else u.shape[0] * nu
     a, b = float(np.quantile(u, 0.05)), float(np.quantile(u, 0.95))
+    if not b > a:
+        raise BandwidthError(f"the plug-in has no interval to integrate its risk over: "
+                             f"the design's central 90% is {a:.6g} alone; use cv or fixed")
     xg = np.linspace(a, b, 128)
 
     h_pilot = 1.5 * h_cv
@@ -919,33 +922,32 @@ def _grid_fit_multi(centers, z, kern: Kernel, h, x_eval):
     moments, exact to rounding, and ``_intercept_fit`` solves them, so values
     move from the engine's by about eps times the moment matrix's condition
     number.  Flags are the engine's on every point.  A fit needs d + 1
-    weighted points: the lattice's upper count settles that where it is below
-    d + 1 and its lower count where that is at least d + 1.  The relative
-    pivot settles the rest unless it lies within rounding of
-    ``PIVOT_REL_TOL`` or ``PIVOT_WARN_TOL``.  Rounding is taken as n^2 sqrt(N)
-    eps, N the J + prod(n_k) terms the two fits sum: the typical error of a
-    sum of N terms is sqrt(N) eps of the largest (Higham 2002, sec. 4.2),
-    and the elimination's multipliers, at most 1, carry a moment's error to
-    a pivot at most n^2 times over.  The points these leave undecided, and
-    those whose lattice value is not finite (the engine's may be finite
-    there), are refitted by the engine, which also runs the whole fit where
-    the lattice does not apply.  ``count`` is the upper count at the other
-    points: it can exceed the engine's where far weights underflow.
+    weighted points: the lattice's lower count, at most the engine's, settles
+    that where it is at least d + 1.  The relative pivot settles the rest
+    unless it lies within rounding of ``PIVOT_REL_TOL`` or ``PIVOT_WARN_TOL``.
+    Rounding is taken as n^2 sqrt(N) eps, N the J + prod(n_k) terms the two
+    fits sum: the typical error of a sum of N terms is sqrt(N) eps of the
+    largest (Higham 2002, sec. 4.2), and the elimination's multipliers, at
+    most 1, carry a moment's error to a pivot at most n^2 times over.  The
+    points these leave undecided, and those whose lattice value is not finite
+    (the engine's may be finite there), are refitted by the engine, which
+    also runs the whole fit where the lattice does not apply.  ``count`` is
+    the lower count at the other points.
     """
     lattice = _design_lattice(centers, z, kern, x_eval)
     if lattice is None:
         return grid_fit_local_linear_multi(centers, z, kern, h, x_eval)
     values, sources, at = lattice
-    S, r, lower, upper = _lattice_moments(values, sources, at, kern, h)
-    a, value, flag, rel_piv = _intercept_fit(S, r, upper)
+    S, r, lower = _lattice_moments(values, sources, at, kern, h)
+    a, value, flag, rel_piv = _intercept_fit(S, r, lower)
     J, d = centers.shape
     n = d + 1
     slack = n * n * math.sqrt(J + sources[0].size) * np.finfo(float).eps
     near = ((np.abs(rel_piv - PIVOT_REL_TOL) <= slack)
             | (np.abs(rel_piv - PIVOT_WARN_TOL) <= slack))
-    undecided = np.flatnonzero((upper >= n) & (rel_piv >= PIVOT_REL_TOL - slack)
+    undecided = np.flatnonzero((rel_piv >= PIVOT_REL_TOL - slack)
                                & ((lower < n) | near | ~np.isfinite(value)))
-    res = {"value": value, "flag": flag, "count": upper, "self_w": a[:, 0]}
+    res = {"value": value, "flag": flag, "count": lower, "self_w": a[:, 0]}
     if undecided.size:
         exact = grid_fit_local_linear_multi(centers, z, kern, h, x_eval[undecided])
         for key, val in exact.items():
@@ -989,35 +991,26 @@ def _design_lattice(centers, z, kern: Kernel, x):
 
 
 def _lattice_moments(values, sources, at, kern: Kernel, h):
-    """Exact local linear moments at lattice nodes: (S, r, lower, upper).
+    """Exact local linear moments at lattice nodes: (S, r, lower).
 
     ``values``, ``sources`` and ``at`` are ``_design_lattice``'s: each
     axis's distinct values, the count of design points and the sum of their
     z at each node of the lattice they span, and the nodes' indices per axis.
-    S and r are ``_local_moments``'; lower and upper bound its count of
-    weighted points.  The gaussian profile factors over the axes:
-    exp(-|t|^2/2) is the product of exp(-t_k^2/2).  With F a source and
-    ``K_k[p][a, i] = t^p exp(-t^2/2)``, ``t = (v_i - v_a)/h`` over axis k's
-    values v, formed as the engine forms (u - x)/h, every moment ``sum_j w_j
-    t_1^p1 .. t_d^pd`` (and its z-weighted twin) at every node is F contracted
-    one axis at a time with ``K_k[p_k]``: ``K_1[p] @ F @ K_2[q]^T`` for d = 2.
-    The counts are contracted from indicators.  The upper one's, ``K_k[0] >
-    0``, hold wherever the engine's weight is positive; it exceeds the
-    engine's count where a weight underflows as a whole but not axis by axis.
-    The lower one's, ``t^2 <= T/d`` with ``exp(-T/2)`` the smallest normal
-    double, put |t|^2 at most T, where the engine's weight is positive.
+    S and r are ``_local_moments``'; lower is at most its count of weighted
+    points.  The gaussian profile factors over the axes: exp(-|t|^2/2) is the
+    product of exp(-t_k^2/2).  With F a source and ``K_k[p][a, i] = t^p
+    exp(-t^2/2)``, ``t = (v_i - v_a)/h`` over axis k's values v, formed as the
+    engine forms (u - x)/h, every moment ``sum_j w_j t_1^p1 .. t_d^pd`` (and
+    its z-weighted twin) at every node is F contracted one axis at a time,
+    the last first, with ``K_k[p_k]``: ``K_1[p] @ F @ K_2[q]^T`` for d = 2.
+    The lower count is the count source contracted with the indicators of
+    ``t^2 <= T/d``, ``exp(-T/2)`` the smallest normal double: they put |t|^2
+    at most T, where the engine's weight is positive.
     """
     d = len(values)
     n = d + 1
-    iu, ju = np.triu_indices(n)
-    # the basis (1, t_1, .., t_d) as exponents per axis; moments as (source,
-    # exponents), the last two the counts, whose "exponents" 3 and 4 are the
-    # upper and the lower indicator
-    powers = np.vstack([np.zeros(d, dtype=int), np.eye(d, dtype=int)])
-    jobs = ([(0, tuple(e)) for e in powers[iu] + powers[ju]]
-            + [(1, tuple(e)) for e in powers] + [(0, (3,) * d), (0, (4,) * d)])
     t2_lower = -2.0 * math.log(np.finfo(float).tiny) / d
-    mats = []
+    mats, inside = [], []
     for v in values:
         # far nodes can overflow t or t^2 to inf; their weight is 0 and so are
         # their moments
@@ -1026,30 +1019,25 @@ def _lattice_moments(values, sources, at, kern: Kernel, h):
             k0 = kern.radial_profile(t * t)
             live = k0 > 0.0
             mats.append((k0, np.where(live, t * k0, 0.0),
-                         np.where(live, t * t * k0, 0.0), live.astype(float),
-                         (t * t <= t2_lower).astype(float)))
-    done = {}
-    G = np.stack([_contract(sources, mats, src, e, done)[at] for src, e in jobs], axis=1)
-    S = np.empty((G.shape[0], n, n))
-    S[:, iu, ju] = G[:, : iu.size]
-    S[:, ju, iu] = G[:, : iu.size]
-    upper, lower = G[:, -2:].astype(np.int64).T
-    return S, G[:, iu.size : -2], lower, upper
+                         np.where(live, t * t * k0, 0.0)))
+            inside.append((t * t <= t2_lower).astype(float))
 
+    def contract(F, factors):
+        for k in reversed(range(d)):
+            F = np.moveaxis(np.tensordot(factors[k], F, axes=(1, k)), 0, k)
+        return F[at]
 
-def _contract(sources, mats, src, e, done):
-    """``sources[src]`` with its last len(e) axes k contracted by ``mats[k][e_k]``.
-
-    Contractions are memoised in ``done`` by (src, e), so moments that share
-    their exponents on the last axes share that work.
-    """
-    if not e:
-        return sources[src]
-    if (src, e) not in done:
-        k = len(mats) - len(e)
-        inner = _contract(sources, mats, src, e[1:], done)
-        done[src, e] = np.moveaxis(np.tensordot(mats[k][e[0]], inner, axes=(1, k)), 0, k)
-    return done[src, e]
+    # basis entry i is 1 for i = 0 and t_k for i = k + 1: its power of t_k is
+    # (i == k + 1), and mats[k][p] carries t^p
+    count, z_sum = sources
+    S = np.empty((at[0].size, n, n))
+    for i in range(n):
+        for j in range(i, n):
+            S[:, i, j] = S[:, j, i] = contract(
+                count, [m[(i == k + 1) + (j == k + 1)] for k, m in enumerate(mats)])
+    r = np.column_stack([contract(z_sum, [m[i == k + 1] for k, m in enumerate(mats)])
+                         for i in range(n)])
+    return S, r, contract(count, inside).astype(np.int64)
 
 
 def select_bandwidth_multi(

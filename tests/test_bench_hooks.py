@@ -133,10 +133,11 @@ def test_traced_table_cell_screens_the_bandwidth_search(kernel, tmp_path):
 
 @pytest.mark.parametrize("kernel", ["gaussian", "uniform"])
 def test_traced_binned_estimate_screens_the_bandwidth_search(kernel, tmp_path):
-    # a lattice search that silently fell back to the exact engine would pass
-    # every correctness test and lose its speed; only the gaussian profile
+    # a lattice search or fit that silently fell back to the exact engine would
+    # pass every correctness test and lose its speed; only the gaussian profile
     # factors over the axes, so the uniform kernel must still score all 16 on
-    # the engine and the gaussian none
+    # the engine, and the gaussian must send no point to it, search and final
+    # fit alike
     rng = np.random.default_rng(7)
     x = rng.uniform(size=(2 * 70 * 70, 2))
     y = (rng.random(x.shape[0]) < 0.02 + 0.1 * x[:, 0] * x[:, 1]).astype(np.int8)
@@ -159,3 +160,4 @@ def test_traced_binned_estimate_screens_the_bandwidth_search(kernel, tmp_path):
         assert exact == 16
     else:
         assert exact == 0
+        assert not any(name == "smoothing.grid_fit_multi" for name, *_ in tracer.spans)

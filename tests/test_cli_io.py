@@ -270,7 +270,7 @@ def data_csv(tmp_path):
 @pytest.fixture()
 def inputs(data_csv, tmp_path):
     """Input files by placeholder: individual, pooled, no y column, bivariate
-    (also with a constant x2)."""
+    (also with a constant x2), and x at 0.5 in 96% of the rows."""
     raw = sample_replicate(make_model("iii"), 300, seed_stream(21))
     rng = np.random.default_rng(4)
     x2 = rng.uniform(size=(400, 2))
@@ -279,6 +279,9 @@ def inputs(data_csv, tmp_path):
     (tmp_path / "biv.csv").write_text(biv)
     (tmp_path / "bivc.csv").write_text(
         "x,x2,y\n" + "".join(f"{a},0.5,{int(a > 0.5)}\n" for a, _ in x2[:100]))
+    spike = np.where(rng.random(2000) < 0.96, 0.5, rng.uniform(size=2000))
+    (tmp_path / "spike.csv").write_text(
+        "x,y\n" + "".join(f"{float(a)!r},{int(a > 0.7)}\n" for a in spike))
     x, y = raw.covariates, raw.responses
     for name, xs, ys in [("huge", x * 1e300, y), ("tiny", x * 1e-300, y),
                          ("pos", x, np.ones_like(y)), ("n23", x[:23], y[:23])]:
@@ -295,6 +298,7 @@ def inputs(data_csv, tmp_path):
         "TINY": str(tmp_path / "tiny.csv"),
         "POS": str(tmp_path / "pos.csv"),
         "N23": str(tmp_path / "n23.csv"),
+        "SPIKE": str(tmp_path / "spike.csv"),
     }
 
 
@@ -482,13 +486,19 @@ class TestCli:
          "takes d-variate input"),
         (["estimate", "--input", "BIVC", "--estimator", "dh_binned", "--nu", "4"],
          "covariate x2 is constant"),
+        (["estimate", "--input", "SPIKE", "--estimator", "ll", "--bandwidth", "plugin"],
+         "the plug-in has no interval to integrate its risk over"),
+        (["data-diagnostics", "--input", "DATA", "--nu", "5", "--grid=-5:6:23"],
+         "the design density estimate underflows (below 1e-300) at x = -5"),
     ])
     def test_bad_option_value_is_a_clean_error(self, argv, message, inputs,
                                                tmp_path, caplog):
         out = tmp_path / "o"
         argv = [inputs.get(a, a) for a in argv]
+        if "--bandwidth" not in argv:
+            argv += ["--bandwidth", "fixed:0.2"]
         with caplog.at_level(logging.ERROR, logger="poolreg"):
-            code = main(argv + ["--bandwidth", "fixed:0.2", "--out", str(out)])
+            code = main(argv + ["--out", str(out)])
         assert code == 2
         assert message in caplog.text
         assert not out.exists()

@@ -144,7 +144,7 @@ def _smooth(u, z, spec: SmootherSpec, grid, widen_on_failure, *, nu=1, n_raw):
     res = grid_fit_with_widening(
         u, z, spec.degree, spec.kernel, h, grid, widen_on_failure
     )
-    failures = np.where(res["flag"] == 2, FAIL_FIT, FAIL_NONE).astype(np.int8)
+    failures = np.where(np.isnan(res["value"]), FAIL_FIT, FAIL_NONE).astype(np.int8)
     return res["value"], failures, h
 
 
@@ -375,7 +375,8 @@ def data_mode_diagnostics(
     ``spec.degree`` must be 1.  Pools that all test positive leave q̂ = 0,
     where A1 is undefined, and are refused as ``estimate_dm`` refuses them.
     A point of x where the density estimate is below 1e-300 is refused, as
-    ``asymptotic_diagnostics`` refuses a design density of zero.
+    ``asymptotic_diagnostics`` refuses a design density of zero, and so is a
+    point where the pilot fit or its derivative fit fails.
     """
     if pooled.strategy != "homogeneous_sorted":
         raise EstimationError("data-mode diagnostics need homogeneous pools")
@@ -393,7 +394,6 @@ def data_mode_diagnostics(
             "are undefined; use a smaller group size nu"
         )
     res = _grid_fit_1d(u, z, 1, spec.kernel, 1.5 * h, x)
-    p_pilot = _pilot_prevalence(res["value"], nu)
 
     lo, hi = float(u.min()), float(u.max())
     xg = np.linspace(lo, hi, 128)
@@ -401,8 +401,6 @@ def data_mode_diagnostics(
     pg = _pilot_prevalence(res_g["value"], nu)
     h_der = max(1.5 * h, 4.0 * (hi - lo) / (xg.size - 1))
     der = local_poly_derivatives(xg, pg, 2, spec.kernel, h_der, x)
-    p1 = np.nan_to_num(der[:, 1])
-    p2 = np.nan_to_num(der[:, 2])
 
     f_hat = _normal_reference_density(pooled.member_covariates, x, spec.kernel)
     under = np.flatnonzero(f_hat < 1e-300)
@@ -411,4 +409,12 @@ def data_mode_diagnostics(
             f"the design density estimate underflows (below 1e-300) at x = "
             f"{x[under[0]]:.6g}: keep the grid points near the data"
         )
-    return _diagnostic_formulas(x, p_pilot, p1, p2, f_hat, spec.kernel, nu, n, h, q_hat)
+    failed = np.flatnonzero(np.isnan(res["value"]) | np.isnan(der).any(axis=1))
+    if failed.size:
+        raise EstimationError(
+            f"the pilot fit fails at x = {x[failed[0]]:.6g}: keep the grid points "
+            "near the data or widen the bandwidth"
+        )
+    p_pilot = _pilot_prevalence(res["value"], nu)
+    return _diagnostic_formulas(x, p_pilot, der[:, 1], der[:, 2], f_hat, spec.kernel,
+                                nu, n, h, q_hat)

@@ -82,6 +82,8 @@ class SimulationSpec:
         bad = [e for e in self.estimators if e not in ESTIMATOR_NAMES]
         if bad:
             raise ValueError(f"unknown estimators {bad}; choose from {ESTIMATOR_NAMES}")
+        if self.n < 1:
+            raise ValueError(f"N must be >= 1 (got N={self.n})")
         if self.nu < 1:
             raise ValueError("nu must be >= 1")
         if any(e != "LL" for e in self.estimators) and self.n % self.nu != 0:
@@ -323,11 +325,13 @@ def rate_experiment(
     A fixed bandwidth rule uses its h at every N.  A cv or plugin rule
     chooses h0 on a deterministic pilot replicate at the smallest N0, and
     h(N) = h0 (N/N0)^(-1/5), the first-order optimal scaling.  The slope's
-    bootstrap band resamples replicate ISE values within each N.
+    bootstrap band resamples replicate ISE values within each N.  A slope
+    needs at least 3 distinct values of N.
     """
-    if len(n_values) < 3:
-        raise ValueError("rate experiment needs at least 3 values of N")
     n_values = sorted(int(n) for n in n_values)
+    if len(set(n_values)) < 3:
+        raise ValueError("rate experiment needs at least 3 distinct values of N "
+                         f"(got {n_values})")
     base = smoother if smoother is not None else default_table_smoother()
     specs = [SimulationSpec(model, n, nu, ("DH",), base, replicates, seed)
              for n in n_values]

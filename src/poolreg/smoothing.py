@@ -19,7 +19,8 @@ per-point implementation it replaced is kept in the tests as the oracle it
 is checked against (``tests/dense_oracle.py``).  A d-variate fit at nodes
 of the lattice of the design's distinct values per axis, such as the bin
 centres of the binned estimator, forms its moments on that lattice instead
-where that is cheaper (``_grid_fit_multi``), with the engine's flags.
+where that is cheaper (``_grid_fit_multi``), failing where the engine fails.
+Every grid fit reports a failed point one way: its value is NaN.
 
 Leave-one-out CV scores every bandwidth candidate on a linear-binned copy of
 the design first (Fan & Marron 1994): FFT convolutions give all candidates'
@@ -43,13 +44,10 @@ import numpy as np
 from .kernels import GAUSSIAN, Kernel
 
 FLAG_OK = "ok"
-FLAG_NEAR_SINGULAR = "near_singular"
 FLAG_FAILED = "failed"
 
 # Relative-pivot threshold below which a moment matrix counts as singular.
 PIVOT_REL_TOL = 1e-12
-# Above the hard threshold but below this, fits are flagged near_singular.
-PIVOT_WARN_TOL = 1e-6
 
 # Grid fits work on blocks of _EVAL_BLOCK evaluation points against slabs of
 # _DESIGN_SLAB design points: a block's kernel weights, 64 x 2048 doubles
@@ -82,13 +80,13 @@ class BandwidthRule:
         if self.mode not in ("fixed", "cross_validation", "plugin"):
             raise BandwidthError(f"unknown bandwidth mode {self.mode!r}")
         if self.mode == "fixed":
-            if self.h is None or not self.h > 0:
-                raise BandwidthError("fixed bandwidth must be a positive number")
+            if self.h is None or not 0 < self.h < math.inf:
+                raise BandwidthError("fixed bandwidth must be a finite positive number")
         if self.candidates is not None:
             if len(self.candidates) == 0:
                 raise BandwidthError("candidate grid must be nonempty")
-            if any(not c > 0 for c in self.candidates):
-                raise BandwidthError("candidate bandwidths must be positive")
+            if any(not 0 < c < math.inf for c in self.candidates):
+                raise BandwidthError("candidate bandwidths must be finite and positive")
 
     @classmethod
     def fixed(cls, h: float) -> "BandwidthRule":
@@ -124,9 +122,11 @@ class SmootherSpec:
 class LocalFit:
     """Result of one local polynomial fit.
 
-    ``effective_weights`` are normalized (they sum to one when the fit is
-    ok) and reproduce ``value`` as their dot product with the responses.
-    ``local_count`` counts design points with nonzero kernel weight.
+    ``condition_flag`` is "ok" or "failed"; a failed fit has no ``value``
+    and no ``effective_weights``.  ``effective_weights`` are normalized (they
+    sum to one) and reproduce ``value`` as their dot product with the
+    responses.  ``local_count`` counts design points with nonzero kernel
+    weight.
     """
 
     value: float | None
@@ -315,13 +315,12 @@ def _local_moments(
 
 
 def _intercept_fit(S: np.ndarray, r: np.ndarray, count: np.ndarray):
-    """Solve S a = e1 at every point: (a, value, flag, relative pivot).
+    """Solve S a = e1 at every point: (a, value, relative pivot).
 
-    ``value = a . r`` is NaN where the fit fails; flag codes are 0=ok,
-    1=near_singular, 2=failed (fewer than n weighted points, a relative
-    pivot below ``PIVOT_REL_TOL``, or a value that is not finite: weights
-    near the smallest normal double can pass the pivot test and still
-    overflow the solve).
+    ``value = a . r`` is NaN exactly where the fit fails: fewer than n
+    weighted points, a relative pivot below ``PIVOT_REL_TOL``, or a value
+    that is not finite (weights near the smallest normal double can pass the
+    pivot test and still overflow the solve).
     """
     M, n, _ = S.shape
     e1 = np.zeros((M, n, 1))
@@ -330,10 +329,7 @@ def _intercept_fit(S: np.ndarray, r: np.ndarray, count: np.ndarray):
     a = a[:, :, 0]
     value = np.einsum("ck,ck->c", a, r)
     ok = (count >= n) & (rel_piv >= PIVOT_REL_TOL) & np.isfinite(value)
-    near = ok & (rel_piv < PIVOT_WARN_TOL)
-    value = np.where(ok, value, np.nan)
-    flag = np.where(ok, np.where(near, 1, 0), 2).astype(np.int8)
-    return a, value, flag, rel_piv
+    return a, np.where(ok, value, np.nan), rel_piv
 
 
 def _grid_fit_1d(
@@ -346,19 +342,19 @@ def _grid_fit_1d(
 ):
     """Vectorized local polynomial fit of (u, z) at every point of x_eval.
 
-    Returns a dict with ``value`` (NaN where failed), ``flag`` (int codes
-    0=ok, 1=near_singular, 2=failed), ``count``, ``alpha`` (solution of
-    S a = e1 in the scaled basis, for effective-weight reconstruction) and
-    the leave-one-out self weight ``self_w = K(0) a_0`` (the leverage, when
-    the evaluation points are design points).
+    Returns a dict with ``value`` (NaN exactly where the fit failed),
+    ``count``, ``alpha`` (solution of S a = e1 in the scaled basis, for
+    effective-weight reconstruction) and the leave-one-out self weight
+    ``self_w = K(0) a_0`` (the leverage, when the evaluation points are
+    design points).
     """
     u = np.asarray(u, dtype=float)
     x_eval = np.asarray(x_eval, dtype=float)
     S, r, count = _local_moments(
         u[:, None], np.asarray(z, dtype=float), degree, kern, h, x_eval[:, None]
     )
-    a, value, flag, _ = _intercept_fit(S, r, count)
-    return {"value": value, "flag": flag, "count": count, "alpha": a,
+    a, value, _ = _intercept_fit(S, r, count)
+    return {"value": value, "count": count, "alpha": a,
             "self_w": kern.at_zero * a[:, 0]}
 
 
@@ -376,9 +372,10 @@ def local_poly_fit(
     """Fit a degree-``spec.degree`` local polynomial to the design at x.
 
     The bandwidth must already be a number: either pass ``h`` or use a spec
-    whose rule is fixed.  On failure (fewer than degree+1 usable points, or
-    a moment matrix with relative pivot below ``PIVOT_REL_TOL``) the
-    returned fit carries ``condition_flag="failed"`` and no value; with
+    whose rule is fixed.  The returned fit's ``condition_flag`` is "ok", or
+    "failed" where the grid fit's value is NaN (fewer than degree+1 usable
+    points, a moment matrix with relative pivot below ``PIVOT_REL_TOL``, or
+    a value that is not finite); a failed fit carries no value.  With
     ``widen_on_failure`` the bandwidth is doubled up to three times first.
     """
     u, z = _split_design(design)
@@ -395,15 +392,14 @@ def local_poly_fit(
         u, z, spec.degree, spec.kernel, float(h), np.atleast_1d(float(x)),
         widen_on_failure,
     )
-    flag = (FLAG_OK, FLAG_NEAR_SINGULAR, FLAG_FAILED)[int(res["flag"][0])]
     count = int(res["count"][0])
-    if flag == FLAG_FAILED:
-        return LocalFit(None, None, count, flag)
+    if np.isnan(res["value"][0]):
+        return LocalFit(None, None, count, FLAG_FAILED)
 
     t = (u - float(x)) / res["h"][0]
     eff = spec.kernel.pdf(t) * np.polyval(res["alpha"][0][::-1], t)
     eff = eff / eff.sum()
-    return LocalFit(float(res["value"][0]), eff, count, flag)
+    return LocalFit(float(res["value"][0]), eff, count, FLAG_OK)
 
 
 def grid_fit_with_widening(
@@ -421,9 +417,10 @@ def grid_fit_with_widening(
     design with (M, d) evaluation points runs the d-variate local linear fit,
     on the design's lattice where ``_design_lattice`` serves the points of
     that fit or retry, else on the exact engine (``_grid_fit_multi``); the
-    flags, and so the points retried, are the engine's either way.  A
-    rescued point takes every entry of its retry; ``h`` holds the bandwidth
-    each point was last fitted at.
+    failed points, and so the points retried, are the engine's either way.
+    A point has failed where its value is NaN.  A rescued point takes every
+    entry of its retry; ``h`` holds the bandwidth each point was last fitted
+    at.
     """
     def fit(h_fit, x):
         if np.ndim(u) == 1:
@@ -431,12 +428,12 @@ def grid_fit_with_widening(
         return _grid_fit_multi(u, z, kern, h_fit, x)
 
     res = fit(h, x_eval)
-    res["h"] = np.full(res["flag"].shape[0], float(h))
+    res["h"] = np.full(res["value"].shape[0], float(h))
     if not widen_on_failure:
         return res
     h_wide = float(h)
     for _ in range(WIDEN_ATTEMPTS):
-        bad = np.flatnonzero(res["flag"] == 2)
+        bad = np.flatnonzero(np.isnan(res["value"]))
         if bad.size == 0:
             break
         h_wide *= WIDEN_FACTOR
@@ -572,7 +569,7 @@ def _loo_score(res: dict, z_at: np.ndarray) -> float:
     The leverage is ``res["self_w"]`` (see ``_loo_residuals``).  Returns inf
     when any fit fails or has leverage near one (candidate unusable).
     """
-    if (res["flag"] == 2).any():
+    if np.isnan(res["value"]).any():
         return math.inf
     return float(np.mean(_loo_residuals(z_at, res["value"], res["self_w"]) ** 2))
 
@@ -900,17 +897,17 @@ def grid_fit_local_linear_multi(
 
     ``centers`` is (J, d), ``x_eval`` is (M, d).  Weights use the kernel's
     spherically symmetric radial profile.  Returns the univariate grid fit's
-    ``value``, ``flag``, ``count`` and ``self_w``.  This is the exact engine:
-    ``_grid_fit_multi`` runs the same fit on the design's lattice where that
-    is cheaper.
+    ``value`` (NaN exactly where the fit failed), ``count`` and ``self_w``.
+    This is the exact engine: ``_grid_fit_multi`` runs the same fit on the
+    design's lattice where that is cheaper.
     """
     S, r, count = _local_moments(
         np.asarray(centers, dtype=float), np.asarray(z, dtype=float), 1, kern, h,
         np.asarray(x_eval, dtype=float),
     )
-    a, value, flag, _ = _intercept_fit(S, r, count)
+    a, value, _ = _intercept_fit(S, r, count)
     # radial_profile(0) == 1 for every family, so the self weight is a_0
-    return {"value": value, "flag": flag, "count": count, "self_w": a[:, 0]}
+    return {"value": value, "count": count, "self_w": a[:, 0]}
 
 
 def _grid_fit_multi(centers, z, kern: Kernel, h, x_eval):
@@ -921,10 +918,10 @@ def _grid_fit_multi(centers, z, kern: Kernel, h, x_eval):
     Where ``_design_lattice`` serves x_eval, ``_lattice_moments`` forms the
     moments, exact to rounding, and ``_intercept_fit`` solves them, so values
     move from the engine's by about eps times the moment matrix's condition
-    number.  Flags are the engine's on every point.  A fit needs d + 1
-    weighted points: the lattice's lower count, at most the engine's, settles
-    that where it is at least d + 1.  The relative pivot settles the rest
-    unless it lies within rounding of ``PIVOT_REL_TOL`` or ``PIVOT_WARN_TOL``.
+    number.  A point fails, its value NaN, where the engine's fails.  A fit
+    needs d + 1 weighted points: the lattice's lower count, at most the
+    engine's, settles that where it is at least d + 1.  The relative pivot
+    settles the rest unless it lies within rounding of ``PIVOT_REL_TOL``.
     Rounding is taken as n^2 sqrt(N) eps, N the J + prod(n_k) terms the two
     fits sum: the typical error of a sum of N terms is sqrt(N) eps of the
     largest (Higham 2002, sec. 4.2), and the elimination's multipliers, at
@@ -939,15 +936,15 @@ def _grid_fit_multi(centers, z, kern: Kernel, h, x_eval):
         return grid_fit_local_linear_multi(centers, z, kern, h, x_eval)
     values, sources, at = lattice
     S, r, lower = _lattice_moments(values, sources, at, kern, h)
-    a, value, flag, rel_piv = _intercept_fit(S, r, lower)
+    a, value, rel_piv = _intercept_fit(S, r, lower)
     J, d = centers.shape
     n = d + 1
     slack = n * n * math.sqrt(J + sources[0].size) * np.finfo(float).eps
-    near = ((np.abs(rel_piv - PIVOT_REL_TOL) <= slack)
-            | (np.abs(rel_piv - PIVOT_WARN_TOL) <= slack))
+    # a lattice fit fails on a lower count under n, a pivot under
+    # PIVOT_REL_TOL or a value that is not finite: NaN covers all three
     undecided = np.flatnonzero((rel_piv >= PIVOT_REL_TOL - slack)
-                               & ((lower < n) | near | ~np.isfinite(value)))
-    res = {"value": value, "flag": flag, "count": lower, "self_w": a[:, 0]}
+                               & (np.isnan(value) | (rel_piv <= PIVOT_REL_TOL + slack)))
+    res = {"value": value, "count": lower, "self_w": a[:, 0]}
     if undecided.size:
         exact = grid_fit_local_linear_multi(centers, z, kern, h, x_eval[undecided])
         for key, val in exact.items():
@@ -1052,7 +1049,7 @@ def select_bandwidth_multi(
     scored, in grid order, with the fit that also runs the final grid,
     ``_grid_fit_multi``.  With the gaussian kernel its moments come from the
     tensor-product lattice of the design's distinct values per axis, exact to
-    rounding, and its flags are the exact engine's, so a candidate fails
+    rounding, and it fails where the exact engine fails, so a candidate fails
     where the exhaustive exact search's fails.  Other kernels, and designs
     whose lattice costs more than the engine, are scored on the engine.
     ``_cv_choice`` chooses, and raises BandwidthError where every candidate

@@ -4,7 +4,9 @@ These are the grid-fit bodies that ``poolreg.smoothing`` used before its
 moment engine was blocked and re-centred.  Each forms the full (J, C) matrix
 of kernel arguments ``t = (u - x)/h`` for a chunk of C evaluation points and
 accumulates the moments of ``t`` directly, with no re-centring, so they are
-slow but transparently exact.  Only the tests import them.
+slow but transparently exact.  Beside a value that is NaN where the fit
+fails, each returns a ``flag`` per point, 0 where the fit is ok and 2 where
+it fails, by the engine's failure rule.  Only the tests import them.
 """
 
 import math
@@ -12,7 +14,7 @@ import math
 import numpy as np
 
 from poolreg.kernels import Kernel
-from poolreg.smoothing import PIVOT_REL_TOL, PIVOT_WARN_TOL, _solve_batched
+from poolreg.smoothing import PIVOT_REL_TOL, _solve_batched
 
 _CHUNK_BUDGET = 2_000_000  # max J*C elements per temporary in grid fits
 
@@ -30,7 +32,7 @@ def _grid_fit_1d(
     """Vectorized local polynomial fit of (u, z) at every point of x_eval.
 
     Returns a dict with ``value`` (NaN where failed), ``flag`` (int codes
-    0=ok, 1=near_singular, 2=failed), ``count``, ``alpha`` (solution of
+    0=ok, 2=failed), ``count``, ``alpha`` (solution of
     S a = e1 in the scaled basis, for effective-weight reconstruction) and,
     on request, the leave-one-out self weight ``self_w`` (valid when the
     evaluation points are design points).
@@ -79,12 +81,11 @@ def _grid_fit_1d(
         ok_count = cnt >= L1
         ok_piv = rel_piv >= PIVOT_REL_TOL
         ok = ok_count & ok_piv
-        near = ok & (rel_piv < PIVOT_WARN_TOL)
 
         val = np.einsum("ck,kc->c", a, r)
         sl = slice(start, start + Cc)
         values[sl] = np.where(ok, val, np.nan)
-        flags[sl] = np.where(ok, np.where(near, 1, 0), 2).astype(np.int8)
+        flags[sl] = np.where(ok, 0, 2).astype(np.int8)
         counts[sl] = cnt
         alphas[sl] = a
         if want_self_weight:
@@ -200,12 +201,11 @@ def grid_fit_local_linear_multi(
 
         cnt = (w > 0.0).sum(axis=0)
         ok = (cnt >= n) & (rel_piv >= PIVOT_REL_TOL)
-        near = ok & (rel_piv < PIVOT_WARN_TOL)
         val = np.einsum("ck,ck->c", a, T)
 
         sl = slice(start, start + Cc)
         values[sl] = np.where(ok, val, np.nan)
-        flags[sl] = np.where(ok, np.where(near, 1, 0), 2).astype(np.int8)
+        flags[sl] = np.where(ok, 0, 2).astype(np.int8)
         counts[sl] = cnt
         if want_self_weight:
             # radial_profile(0) == 1 for every family

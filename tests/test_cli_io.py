@@ -490,6 +490,14 @@ class TestCli:
          "the plug-in has no interval to integrate its risk over"),
         (["data-diagnostics", "--input", "DATA", "--nu", "5", "--grid=-5:6:23"],
          "the design density estimate underflows (below 1e-300) at x = -5"),
+        (["data-diagnostics", "--input", "DATA", "--nu", "5", "--bandwidth",
+          "fixed:0.02", "--grid", "0.5:2.4:5"], "the pilot fit fails at x = "),
+        (["estimate", "--input", "DATA", "--estimator", "dh", "--nu", "5",
+          "--bandwidth", "fixed:inf"], "bad fixed bandwidth in 'fixed:inf'"),
+        (["rate", "--N", "1000", "--N", "1000", "--N", "1000", "--seed", "1",
+          "--replicates", "2"], "rate experiment needs at least 3 distinct values of N"),
+        (["simulate", "--N", "-5", "--seed", "1", "--replicates", "2"],
+         "N must be >= 1 (got N=-5)"),
     ])
     def test_bad_option_value_is_a_clean_error(self, argv, message, inputs,
                                                tmp_path, caplog):

@@ -485,6 +485,15 @@ class TestAsymptoticDiagnostics:
         # pilot-based A should land within a factor 2 of the analytic value
         np.testing.assert_allclose(diag.A, truth.A, rtol=1.0)
 
+    def test_data_mode_refuses_a_point_where_the_pilot_fit_fails(self):
+        # at h = 0.02 the derivative fit fails at x = 1.45, 1.925 and 2.4 and
+        # the pilot fit at the last two; their A, B and B1 were once read as 0
+        rng = np.random.default_rng(3)
+        x = rng.uniform(0, 1, 400)
+        pooled = pool_homogeneous(RawDataset(x, rng.random(400) < 0.05 + 0.1 * x), 5)
+        with pytest.raises(EstimationError, match=r"the pilot fit fails at x = 1\.45:"):
+            data_mode_diagnostics(pooled, SmootherSpec(), 0.02, np.linspace(0.5, 2.4, 5))
+
     def test_data_mode_memory_stays_bounded(self):
         # the density once built one dense (grid x N) kernel matrix: 123 MB
         # at N = 4e4 and a 201-point grid, growing linearly in N

@@ -325,14 +325,23 @@ def _diagnostic_formulas(
 ) -> AsymptoticDiagnostics:
     if (f <= 0.0).any():
         raise EstimationError("design density is zero at a requested point")
-    a_sq, big_b = _dh_first_order(p, p1, p2, f, kern, nu, n, h)
-    big_a = np.sqrt(a_sq)
-    one_m_p = 1.0 - p
-    b = kern.second_moment
-    v = kern.l2_norm / f
-    a1_sq = one_m_p * q ** (1 - nu) * (1.0 - one_m_p * q ** (nu - 1)) * v / (n * h)
-    big_a1 = np.sqrt(a1_sq)
-    big_b1 = 0.5 * h * h * p2 * b
+    # a bandwidth far off the covariate's scale overflows h*h or 1/(n h):
+    # refused below, by name, rather than written as inf
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a_sq, big_b = _dh_first_order(p, p1, p2, f, kern, nu, n, h)
+        big_a = np.sqrt(a_sq)
+        one_m_p = 1.0 - p
+        b = kern.second_moment
+        v = kern.l2_norm / f
+        a1_sq = one_m_p * q ** (1 - nu) * (1.0 - one_m_p * q ** (nu - 1)) * v / (n * h)
+        big_a1 = np.sqrt(a1_sq)
+        big_b1 = 0.5 * h * h * p2 * b
+    bad = np.flatnonzero(~np.isfinite(np.stack([big_a, big_b, big_a1, big_b1])).all(0))
+    if bad.size:
+        raise EstimationError(
+            f"the error formulas are not finite at h = {h:.6g} (first at x = "
+            f"{x[bad[0]]:.6g}): take a bandwidth on the covariate's scale"
+        )
     lam = one_m_p ** (-nu / 5.0)
     return AsymptoticDiagnostics(x, big_a, big_b, big_a1, big_b1, q, lam, b, v)
 

@@ -1,14 +1,19 @@
 """CSV/JSON codecs for datasets and result files.
 
-All numbers are serialized with 17 significant digits so that every emitted
-file re-ingests to the exact in-memory values.  Every CSV file is written by
-one row writer (``_write_rows``) and read by one row reader (``_read_rows``:
+CSV numbers are serialized with 17 significant digits, and JSON numbers by
+their shortest ``repr``, so that every emitted file re-ingests to the exact
+in-memory values.  Every CSV file is written by one row writer
+(``_write_rows``: columns of cell text joined into CRLF-terminated lines,
+the bytes ``csv.writer`` writes) and read by one row reader (``_read_rows``:
 UTF-8 text, blank rows are skipped, every other row must be as wide as the
-header), except the rows of a data file that one vectorised numpy parse
-(``_parse_body``) reads.  That parse names no fault: wherever it could read
-other values than the row reader, or finds a fault, the file is read row by
-row and the row loop names the first fault.  The individual and pooled
-codecs and the result codec add only their header checks and cell parsing.
+header), except the rows of a data file that one vectorised
+numpy parse (``_parse_body``) reads.  That parse names no fault: wherever
+it could read other values than the row reader, or finds a fault, the file
+is read row by row and the row loop names the first fault.  The individual
+and pooled codecs and the result codec add only their header checks and
+cell parsing.  The writers format each distinct value of an array once
+(``_texts``) and gather the texts by index, so a file costs one format call
+per distinct value and a few joins, not one call per cell.
 Result files go through one codec,
 ``write_result`` / ``read_result``, driven by a per-type spec (``_SPECS``):
 the file suffix picks CSV or JSON, CSV column orders are fixed and JSON
@@ -31,6 +36,7 @@ import csv
 import json
 import math
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, get_type_hints
@@ -51,8 +57,39 @@ class DataFormatError(ValueError):
     """A file does not match the expected schema."""
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def _floats(values: list) -> list[str]:
+    """The CSV text of each number: 17 significant digits."""
+    return [*map("%.17g".__mod__, values)]
+
+
+def _quote(cell: str) -> str:
+    """A text cell as ``csv.writer`` writes it: quoted, with its quotes doubled,
+    when it holds a comma, a quote or a line break."""
+    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+def _ints(values: list) -> list[str]:
+    """The text of each integer."""
+    return [*map(str, map(int, values))]
+
+
+def _json_values(values: list) -> list[str]:
+    """The JSON text of each value, as ``json.dumps`` writes it (``NaN``, ``Infinity``)."""
+    return json.dumps(values)[1:-1].split(", ")
+
+
+def _texts(a: np.ndarray, fmt: Callable[[list], list[str]]) -> list[str]:
+    """The text of each element of ``a``, in C order, each distinct value formatted once.
+
+    Values are told apart by their bit pattern, so -0.0 and 0.0 (and NaNs of
+    other payloads) keep their own texts.  ``fmt`` maps a list of values to
+    their texts.
+    """
+    flat = np.ravel(a)
+    bits, inverse = np.unique(flat.view(f"i{flat.itemsize}"), return_inverse=True)
+    return [*map(fmt(bits.view(flat.dtype).tolist()).__getitem__, inverse.tolist())]
 
 
 def _bad(path, row, col, what: str, raw) -> DataFormatError:
@@ -115,12 +152,16 @@ def _read_rows(path: Path):
                 "cannot be decoded") from None
 
 
-def _write_rows(path: Path, header: list[str], rows) -> Path:
-    """Write a header line and then one line per row of cells."""
+def _write_rows(path: Path, header: list[str], columns: list[list[str]]) -> Path:
+    """Write a header line and then one line per row, from columns of cell text.
+
+    Cells are written as given, so a text cell that may hold a delimiter, a
+    quote or a line break arrives ``_quote``-d.  Rows end in CRLF and are
+    as many as the shortest column has cells, as ``csv.writer`` writes
+    ``zip(*columns)``.
+    """
     with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("\r\n".join(map(",".join, [header, *zip(*columns)])) + "\r\n")
     return path
 
 
@@ -233,12 +274,12 @@ def ingest_individual_csv(path) -> RawDataset:
 def write_individual_csv(raw: RawDataset, path) -> Path:
     d = raw.dimension
     header = ["x"] + [f"x{i}" for i in range(2, d + 1)]
-    x = raw.covariates.reshape(raw.n, d)
-    rows = ([*map(_fmt, xi)] for xi in x)
+    x = _texts(raw.covariates, _floats)
+    columns = [x[k::d] for k in range(d)]
     if raw.responses is not None:
         header.append("y")
-        rows = ([*cells, str(int(y))] for cells, y in zip(rows, raw.responses))
-    return _write_rows(Path(path), header, rows)
+        columns.append(_texts(raw.responses, _ints))
+    return _write_rows(Path(path), header, columns)
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +383,11 @@ def write_pooled_csv(pooled: PooledDataset, path) -> Path:
     d = pooled.dimension
     header = ["group_id"] + [f"x{i}" for i in range(1, d + 1)] + ["group_result"]
     width = max(4, len(str(pooled.n_groups)))
-    m = pooled.member_covariates.reshape(-1, d)
     row_group = np.repeat(np.arange(pooled.n_groups), pooled.group_sizes)
-    rows = ([f"g{j:0{width}d}", *map(_fmt, xi), str(int(pooled.y_star[j]))]
-            for j, xi in zip(row_group, m))
-    return _write_rows(Path(path), header, rows)
+    x = _texts(pooled.member_covariates, _floats)
+    ids = _texts(row_group, lambda groups: [f"g{j:0{width}d}" for j in groups])
+    results = _texts(pooled.y_star[row_group], _ints)
+    return _write_rows(Path(path), header, [ids, *(x[k::d] for k in range(d)), results])
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +403,10 @@ def write_pooled_csv(pooled: PooledDataset, path) -> Path:
 
 
 class _Kind(NamedTuple):
-    text: Callable  # one value -> CSV cell
+    text: Callable  # a list of values -> their CSV cells
     parse: Callable  # (CSV cell or JSON value, row, column, path) -> one value
     dtype: type = float  # element type of a numpy array of such values
-    json: Callable | None = None  # one value -> JSON value; None: numbers
+    json: Callable = _json_values  # a list of values -> their JSON texts
 
 
 class _Field(NamedTuple):
@@ -409,19 +450,23 @@ def _names(names: tuple[str, ...]) -> _Kind:
             return names.index(raw)
         raise _bad(path, row, col, f"unknown name (one of {', '.join(names)})", raw)
 
-    return _Kind(names.__getitem__, parse, np.int8, names.__getitem__)
+    def text(codes: list) -> list[str]:
+        return [names[c] for c in codes]
+
+    return _Kind(text, parse, np.int8,
+                 lambda codes: [*map(encode_basestring_ascii, text(codes))])
 
 
 _KINDS = {
-    "float": _Kind(_fmt, _parse_float),  # finite
-    "nan": _Kind(_fmt, partial(_parse_float, finite=False)),  # NaN and inf allowed
-    "int": _Kind(str, _parse_int, np.int64),
-    "str": _Kind(str, _parse_str, json=str),
+    "float": _Kind(_floats, _parse_float),  # finite
+    "nan": _Kind(_floats, partial(_parse_float, finite=False)),  # NaN and inf allowed
+    "int": _Kind(_ints, _parse_int, np.int64),
+    "str": _Kind(lambda v: [_quote(str(s)) for s in v], _parse_str, object,
+                 lambda v: [encode_basestring_ascii(str(s)) for s in v]),
     "clamp": _names(CLAMP_NAMES),
     "fail": _names(FAIL_NAMES),
     # a float, NaN included, or None written as an empty cell
-    "opt": _Kind(lambda v: "" if v is None else _fmt(v), _parse_opt,
-                 json=lambda v: None if v is None else float(v)),
+    "opt": _Kind(lambda v: ["" if x is None else "%.17g" % x for x in v], _parse_opt),
 }
 
 _A = np.ndarray
@@ -504,36 +549,92 @@ write_traces_csv = write_result
 
 
 def _write_csv(spec: _Spec, obj, path: Path) -> None:
+    """Write the records as CSV: one column of cell text per header.
+
+    An array is formatted once per distinct value (``_texts``) and a
+    record scalar once, repeated on every row; the bytes are those that
+    ``csv.writer`` writes for the same cells.
+    """
     columns = _columns(spec)
     n = len(obj) if spec.rows else len(_getter(columns[0][1])(obj))
     headers, cells = [], []
     for header, f in columns:
-        get, text = _getter(f), _KINDS[f.kind].text
-        values = [get(r) for r in obj] if spec.rows else get(obj)
-        if not spec.rows and f.array is None:
-            values = [values] * n
-        if getattr(values, "ndim", 1) == 2:
-            headers += [f"{header}{k + 1}" for k in range(values.shape[1])]
-            cells += [list(map(text, col)) for col in values.T]
+        get, kind = _getter(f), _KINDS[f.kind]
+        if spec.rows:
+            texts = kind.text([get(r) for r in obj])
+        elif f.array is None:
+            texts = kind.text([get(obj)]) * n
         else:
-            headers.append(header)
-            cells.append(list(map(text, values)))
-    _write_rows(path, headers, zip(*cells))
+            values = np.asarray(get(obj), dtype=kind.dtype)
+            texts = _texts(values, kind.text)
+            if values.ndim == 2:
+                width = values.shape[1]
+                headers += [f"{header}{k + 1}" for k in range(width)]
+                cells += [texts[k::width] for k in range(width)]
+                continue
+        headers.append(header)
+        cells.append(texts)
+    _write_rows(path, headers, cells)
 
 
-def _to_json(f: _Field, value):
+class _Block(NamedTuple):
+    """A 1-d or 2-d array as the JSON texts of its elements, in C order."""
+
+    texts: list[str]
+    shape: tuple[int, ...]
+
+
+def _json_value(f: _Field, value):
+    """A field's value for ``_json_text``: its JSON text, or an array's ``_Block``."""
     kind = _KINDS[f.kind]
-    if kind.json is None:  # numbers: one value or a (nested) array at once
-        return np.asarray(value, dtype=kind.dtype).tolist()
-    return [kind.json(v) for v in value] if f.array else kind.json(value)
+    if f.array is None:
+        return kind.json(np.asarray([value], dtype=kind.dtype).tolist())[0]
+    values = np.asarray(value, dtype=kind.dtype)
+    return _Block(_texts(values, kind.json), values.shape)
+
+
+def _json_text(value, indent: str) -> str:
+    """The text ``json.dumps(value, indent=1)`` gives at a depth of ``indent``.
+
+    ``value`` is a dict or list of such values, a ``_Block`` or a str that
+    is already JSON text.  A 2-d ``_Block`` is a list of rows, each written
+    by one ``%`` template.
+    """
+    if isinstance(value, str):
+        return value
+    inner = indent + " "
+    opening, closing = "[]"
+    if isinstance(value, dict):
+        opening, closing = "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                 for k, v in value.items()]
+    elif isinstance(value, list):
+        items = [_json_text(v, inner) for v in value]
+    elif len(value.shape) == 1:
+        items = value.texts
+    else:
+        rows, width = value.shape
+        row = _json_text(_Block(["%s"] * width, (width,)), inner)
+        items = [*map(row.__mod__, zip(*[iter(value.texts)] * width))] if width else (
+            [row] * rows)
+    if not items:
+        return opening + closing
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
 
 
 def _write_json(spec: _Spec, obj, path: Path) -> None:
+    """Write the records as the text of ``json.dumps(payload, indent=1)``.
+
+    The text is built by ``_json_text`` from joins, with each numeric array
+    formatted once per distinct value by the C encoder, since ``indent``
+    would put every value through the pure-Python one.
+    """
     def record(r) -> dict:
-        return {f.key: _to_json(f, _getter(f)(r)) for f in spec.fields}
+        return {f.key: _json_value(f, _getter(f)(r)) for f in spec.fields}
 
     body = {"rows": [record(r) for r in obj]} if spec.rows else record(obj)
-    path.write_text(json.dumps({"schema": spec.schema, **body}, indent=1))
+    path.write_text(_json_text({"schema": encode_basestring_ascii(spec.schema), **body},
+                               ""))
 
 
 def read_result(path, kind: type):

@@ -4,7 +4,8 @@ Each example runs ``poolreg.cli.main`` in-process on a small input (at most
 300 rows, or N <= 300 for the simulation commands) with one or two hazards:
 all-negative or all-positive y, one or two x values, ties, x scaled by
 10^300 or 10^-300, 2-4 rows, a bivariate file, and nu that does not divide N.
-Every command and estimator runs, under fixed, cv and plug-in bandwidths;
+Every command and estimator runs, under fixed, cv and plug-in bandwidths
+(the diagnostics also at fixed bandwidths near 10^300 and 10^-300);
 bivariate files go through dh_binned, mostly with N / nu a square number of
 bins so that the d-variate fit and search run.  The run must exit 0 or 2, let
 no exception out of ``main`` and no RuntimeWarning out of numpy, and a 0 exit
@@ -69,7 +70,10 @@ def _data(draw, hazards, nu):
 def cli_cases(draw, command, estimator):
     hazards = draw(st.sets(st.sampled_from(HAZARDS), min_size=1, max_size=2))
     nu = draw(st.integers(1, 8))
-    h = draw(st.sampled_from(["0.001", "0.05", "0.3", "2"]))
+    scales = ["0.001", "0.05", "0.3", "2"]
+    if command in ("diagnostics", "data-diagnostics"):  # h far off the data's scale
+        scales += ["1e300", "1e-300", "3e-310"]
+    h = draw(st.sampled_from(scales))
     bandwidth = draw(st.sampled_from([f"fixed:{h}", "cv", "plugin"]))
     opts = ["--bandwidth", bandwidth]
     if draw(st.integers(0, 4)) == 0:

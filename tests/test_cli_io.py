@@ -498,6 +498,8 @@ class TestCli:
           "--replicates", "2"], "rate experiment needs at least 3 distinct values of N"),
         (["simulate", "--N", "-5", "--seed", "1", "--replicates", "2"],
          "N must be >= 1 (got N=-5)"),
+        (["diagnostics", "--N", "10", "--nu", "3", "--bandwidth", "fixed:1e300",
+          "--grid", "0.2:0.8:3"], "the error formulas are not finite at h = 1e+300"),
     ])
     def test_bad_option_value_is_a_clean_error(self, argv, message, inputs,
                                                tmp_path, caplog):

@@ -8,6 +8,7 @@ ingest re-orders by center come back re-ordered, and their second file is
 that of the re-ordered pools.
 """
 
+import csv
 import logging
 from unittest import mock
 
@@ -253,6 +254,55 @@ def test_pooled_round_trip_is_exact(tmp_path):
         second = write_pooled_csv(back, tmp_path / "b.csv")
         expected = first if kept_order else write_pooled_csv(want, tmp_path / "c.csv")
         assert second.read_bytes() == expected.read_bytes()
+
+    check()
+
+
+def reference_individual(raw: RawDataset, path) -> bytes:
+    """The individual file as ``csv.writer`` writes it, one cell at a time."""
+    d = raw.dimension
+    header = ["x"] + [f"x{i}" for i in range(2, d + 1)]
+    rows = [[f"{v:.17g}" for v in xi] for xi in raw.covariates.reshape(raw.n, d)]
+    if raw.responses is not None:
+        header.append("y")
+        rows = [[*cells, str(int(y))] for cells, y in zip(rows, raw.responses)]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return path.read_bytes()
+
+
+def reference_pooled(pooled: PooledDataset, path) -> bytes:
+    """The pooled file as ``csv.writer`` writes it, one cell at a time."""
+    d = pooled.dimension
+    header = ["group_id"] + [f"x{i}" for i in range(1, d + 1)] + ["group_result"]
+    width = max(4, len(str(pooled.n_groups)))
+    row_group = np.repeat(np.arange(pooled.n_groups), pooled.group_sizes)
+    rows = [[f"g{j:0{width}d}", *(f"{v:.17g}" for v in xi), str(int(pooled.y_star[j]))]
+            for j, xi in zip(row_group, pooled.member_covariates.reshape(-1, d))]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return path.read_bytes()
+
+
+# 12,000 rows of about 2,000 distinct values, -0.0 and 0.0 among them: ids
+# five digits wide and heavy repeats
+_RNG = np.random.default_rng(8)
+BIG_RAW = RawDataset(np.round(_RNG.uniform(-1, 1, 12_000), 3), _RNG.integers(0, 2, 12_000))
+
+
+def test_data_files_are_written_as_csv_writer_writes_them(tmp_path):
+    @SETTINGS
+    @given(st.one_of(individual_datasets(), pooled_datasets()))
+    @example(BIG_RAW)
+    @example(pool_homogeneous(BIG_RAW, 1))
+    @example(RawDataset(np.round(_RNG.uniform(size=(3000, 3)), 1)))
+    def check(data):
+        if isinstance(data, RawDataset):
+            got = write_individual_csv(data, tmp_path / "got.csv").read_bytes()
+            assert got == reference_individual(data, tmp_path / "want.csv")
+        else:
+            got = write_pooled_csv(data, tmp_path / "got.csv").read_bytes()
+            assert got == reference_pooled(data, tmp_path / "want.csv")
 
     check()
 

@@ -446,6 +446,12 @@ class TestAsymptoticDiagnostics:
         assert diag.b_const == 1.0
         np.testing.assert_allclose(diag.v[0], 1.0 / (2.0 * np.sqrt(np.pi)), rtol=1e-12)
 
+    def test_a_bandwidth_whose_square_overflows_is_refused(self):
+        # h*h overflows: B and B1 would be inf, or NaN where p'' = 0
+        for model in (make_model("iii"), constant_model(0.1)):
+            with pytest.raises(EstimationError, match=r"not finite at h = 1e\+300"):
+                asymptotic_diagnostics(model, SmootherSpec(), 3, 10, 1e300, [0.2, 0.5])
+
     def test_variance_halves_with_delta_small_pooling(self):
         # A^2 = O(delta/Nh): halving delta halves A^2 within 10% when nu*delta small
         base = constant_model(0.02)

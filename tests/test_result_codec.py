@@ -7,8 +7,11 @@ failed replicate (``ise=None``), and the files are written through
 ``emit_results`` and ``write_traces_csv``, the entry points the CLI uses.
 """
 
+import csv
 import dataclasses
+import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from poolreg.estimators import AsymptoticDiagnostics, EstimateResult
+from poolreg import io as pio
+from poolreg.estimators import (
+    AsymptoticDiagnostics, CLAMP_NAMES, EstimateResult, FAIL_NAMES,
+)
 from poolreg.io import (
     DataFormatError, emit_results, read_result, write_result, write_traces_csv,
 )
@@ -280,3 +286,171 @@ def test_malformed_file_raises_data_format_error(case, tmp_path):
     with pytest.raises(DataFormatError, match=message) as err:
         read_result(path, kind)
     assert str(path) in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the writers against csv.writer and json.dumps(indent=1)
+
+def _fmt(x) -> str:
+    return f"{float(x):.17g}"
+
+
+# each kind's cell text, one value at a time
+REFERENCE_CELL = {
+    "float": _fmt, "nan": _fmt, "int": str, "str": str,
+    "clamp": CLAMP_NAMES.__getitem__, "fail": FAIL_NAMES.__getitem__,
+    "opt": lambda v: "" if v is None else _fmt(v),
+}
+
+
+def reference_csv(obj, path: Path) -> bytes:
+    """The CSV file as ``csv.writer`` writes it, one cell at a time."""
+    spec = pio._SPECS[type(obj[0]) if isinstance(obj, list) else type(obj)]
+    columns = pio._columns(spec)
+    n = len(obj) if spec.rows else len(pio._getter(columns[0][1])(obj))
+    headers, cells = [], []
+    for header, f in columns:
+        get, text = pio._getter(f), REFERENCE_CELL[f.kind]
+        values = [get(r) for r in obj] if spec.rows else get(obj)
+        if not spec.rows and f.array is None:
+            values = [values] * n
+        if getattr(values, "ndim", 1) == 2:
+            headers += [f"{header}{k + 1}" for k in range(values.shape[1])]
+            cells += [list(map(text, col)) for col in values.T]
+        else:
+            headers.append(header)
+            cells.append(list(map(text, values)))
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(headers)
+        writer.writerows(zip(*cells))
+    return path.read_bytes()
+
+
+def reference_json(obj, path: Path) -> bytes:
+    """The JSON file as ``json.dumps(payload, indent=1)`` writes it."""
+    spec = pio._SPECS[type(obj[0]) if isinstance(obj, list) else type(obj)]
+    names = {"clamp": CLAMP_NAMES, "fail": FAIL_NAMES}
+
+    def value(f, v):
+        if f.kind == "str":
+            return str(v)
+        if f.kind in names:
+            return [names[f.kind][c] for c in v]
+        return np.asarray(v, dtype=np.int64 if f.kind == "int" else float).tolist()
+
+    def record(r) -> dict:
+        return {f.key: value(f, pio._getter(f)(r)) for f in spec.fields}
+
+    body = {"rows": [record(r) for r in obj]} if spec.rows else record(obj)
+    path.write_text(json.dumps({"schema": spec.schema, **body}, indent=1))
+    return path.read_bytes()
+
+
+def bits(value: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", value))[0]
+
+
+# values whose texts a careless writer could merge or misspell: both zeros,
+# NaNs of other signs and payloads, infinities, subnormals and extremes
+SPECIAL = [0.0, -0.0, NAN, bits(0xFFF8000000000000), bits(0x7FF8000000000001),
+           math.inf, -math.inf, TINY, -TINY, 2.2250738585072014e-308, 1e300, -1e300,
+           1e-300, 0.1, 1.0, 1.7976931348623157e308]
+# tags that csv.writer quotes
+QUOTED = ['a,"b"\n', '"', ",", "x\ry", "\n", 'say "hi"']
+TAGS = TEXT | st.sampled_from(QUOTED)
+
+
+@st.composite
+def repeats(draw, shape, finite=False):
+    """An array of ``shape`` drawn with heavy repeats from a few values,
+    special ones included, with a drawn share of fresh random values."""
+    special = [v for v in SPECIAL if math.isfinite(v)] if finite else SPECIAL
+    pool = (draw(st.lists(st.sampled_from(special), min_size=1, max_size=6))
+            + draw(st.lists(FINITE if finite else ANY, max_size=4)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.array(pool)[rng.integers(0, len(pool), shape)]
+    fresh = rng.random(shape) < draw(st.sampled_from([0.0, 0.1, 0.9]))
+    a[fresh] = rng.standard_normal(fresh.sum()) * 10.0 ** rng.integers(-300, 300,
+                                                                       fresh.sum())
+    return a
+
+
+SIZES = st.sampled_from([0, 1, 2, 300, 1000, 3000])
+
+
+@st.composite
+def big_estimates(draw):
+    m = draw(SIZES)
+    d = draw(st.sampled_from([None, 0, 1, 2, 3]))  # None: a 1-d grid; 0: zero width
+    codes = np.random.default_rng(m).integers(0, 3, (2, m)).astype(np.int8)
+    return EstimateResult(
+        draw(repeats((m, d) if d is not None else (m,), finite=True)),
+        draw(repeats(m)), draw(repeats(m)), codes[0], codes[1],
+        draw(FINITE), draw(TAGS), draw(FINITE),
+    )
+
+
+@st.composite
+def big_rates(draw):
+    k = draw(st.sampled_from([0, 1, 300]))
+    ints = tuple(int(v) for v in draw(repeats(k, finite=True)) % 1000)
+    return RateResult(ints, tuple(draw(repeats(k)).tolist()),
+                      tuple(draw(repeats(k, finite=True)).tolist()), draw(ANY),
+                      (draw(ANY), draw(ANY)), ints[::-1])
+
+
+@st.composite
+def big_diagnostics(draw):
+    m = draw(SIZES)
+    columns = [draw(repeats(m)) for _ in range(6)]
+    return AsymptoticDiagnostics(
+        draw(repeats(m, finite=True)), *columns[:4], draw(FINITE), columns[4],
+        draw(FINITE), columns[5],
+    )
+
+
+def many_rows(record):
+    """Hundreds of rows that repeat a few drawn records."""
+    @st.composite
+    def build(draw):
+        pool = draw(st.lists(record, min_size=1, max_size=4))
+        picks = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+            0, len(pool), draw(st.sampled_from([1, 200, 700])))
+        return [pool[i] for i in picks]
+
+    return build()
+
+
+_TABLE_ROW = st.builds(TableRow, TAGS, TAGS, INTS, INTS, TAGS,
+                       st.builds(SummaryCell, ANY, ANY, INTS, INTS))
+BIG_RECORDS = {
+    EstimateResult: big_estimates(),
+    TableRow: many_rows(_TABLE_ROW),
+    TraceRow: many_rows(st.builds(TraceRow, TAGS, TAGS, INTS, INTS, TAGS, INTS,
+                                  st.none() | ANY | st.sampled_from(SPECIAL))),
+    RateResult: big_rates(),
+    OverpoolRow: many_rows(st.builds(OverpoolRow, INTS, ANY, ANY, INTS, INTS,
+                                     st.sampled_from(SPECIAL))),
+    AsymptoticDiagnostics: big_diagnostics(),
+}
+
+
+@pytest.mark.parametrize("size", ["small", "big"])
+@pytest.mark.parametrize("kind", list(RECORDS), ids=lambda k: k.__name__)
+def test_writers_write_the_bytes_of_csv_writer_and_json_dumps(kind, size, tmp_path):
+    """Every result type, in every format it is written in, byte for byte as
+    csv.writer and json.dumps(indent=1) write the same records."""
+    formats = ("csv", "json") if pio._SPECS[kind].schema else ("csv",)
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow, HealthCheck.data_too_large])
+    @given((RECORDS if size == "small" else BIG_RECORDS)[kind])
+    def check(obj):
+        for fmt in formats:
+            got = write_result(obj, tmp_path / f"got.{fmt}").read_bytes()
+            reference = reference_csv if fmt == "csv" else reference_json
+            assert got == reference(obj, tmp_path / f"want.{fmt}"), fmt
+
+    check()

@@ -28,14 +28,16 @@ import numpy as np
 from .kernels import Kernel
 from .models import PrevalenceModel
 from .pooling import PooledDataset, RawDataset
-# grid_fit_local_linear_multi is not called here (grid_fit_with_widening runs
-# it where the lattice does not serve the fit); it stays importable from this
-# module because perfbench's tracer hooks the fits by name in both modules.
+# grid_fit_local_linear_multi and local_poly_derivatives are not called here
+# (grid_fit_with_widening runs the first where the lattice does not serve the
+# fit, _pilot_derivatives the second); they stay importable from this module
+# because perfbench's tracer hooks them by name in both modules.
 from .smoothing import (  # noqa: F401
     SmootherSpec,
     _dh_first_order,
     _grid_fit_1d,
     _normal_reference_density,
+    _pilot_derivatives,
     _pilot_prevalence,
     grid_fit_local_linear_multi,
     grid_fit_with_widening,
@@ -385,7 +387,9 @@ def data_mode_diagnostics(
     where A1 is undefined, and are refused as ``estimate_dm`` refuses them.
     A point of x where the density estimate is below 1e-300 is refused, as
     ``asymptotic_diagnostics`` refuses a design density of zero, and so is a
-    point where the pilot fit or its derivative fit fails.
+    point where the pilot fit or its derivative fit fails.  The derivatives
+    are fitted from the pilot's 128-point grid, at the points where the
+    pilot fit did not fail.
     """
     if pooled.strategy != "homogeneous_sorted":
         raise EstimationError("data-mode diagnostics need homogeneous pools")
@@ -407,9 +411,8 @@ def data_mode_diagnostics(
     lo, hi = float(u.min()), float(u.max())
     xg = np.linspace(lo, hi, 128)
     res_g = _grid_fit_1d(u, z, 1, spec.kernel, 1.5 * h, xg)
-    pg = _pilot_prevalence(res_g["value"], nu)
     h_der = max(1.5 * h, 4.0 * (hi - lo) / (xg.size - 1))
-    der = local_poly_derivatives(xg, pg, 2, spec.kernel, h_der, x)
+    der = _pilot_derivatives(xg, res_g["value"], nu, spec.kernel, h_der, x)[1]
 
     f_hat = _normal_reference_density(pooled.member_covariates, x, spec.kernel)
     under = np.flatnonzero(f_hat < 1e-300)

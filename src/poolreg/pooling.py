@@ -8,7 +8,10 @@ what the downstream smoothers consume.
 
 Pools are stored as columns, not one object per pool.  Each strategy orders
 the sample (a stable sort, a permutation, a stable sort by bin) and cuts it
-into runs of consecutive members.
+into runs of consecutive members.  The sorts take numpy's cheaper kinds
+and still give the stable order bit for bit: the default sort of the
+covariates, with tied members put back in sample order, and a radix sort
+of narrow bin indices.
 """
 
 from __future__ import annotations
@@ -176,7 +179,12 @@ def _pool_means(members: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
     Averaging the pools of each size s as one (k, s[, d]) block gives each
     pool's own ``.mean()`` bit for bit; ``np.add.reduceat`` does not (s >= 3).
+    Where every pool has one size, the block is the members themselves,
+    reshaped: the same C-order layout as a gathered copy, so the same bits.
     """
+    if sizes.size and (sizes == sizes[0]).all():
+        block = np.ascontiguousarray(members)
+        return block.reshape((sizes.size, -1) + members.shape[1:]).mean(axis=1)
     starts = np.cumsum(sizes) - sizes
     means = np.empty(sizes.shape + members.shape[1:])
     for s in np.unique(sizes):
@@ -209,7 +217,13 @@ def pool_homogeneous(raw: RawDataset, nu: int) -> PooledDataset:
 
     Ties in the covariate are broken by original index (stable sort), so the
     grouping is deterministic and invariant to permutations of distinct
-    inputs.  nu must divide N; unequal group sizes and d > 1 are the binned
+    inputs.  numpy's default sort finds the order several times faster than
+    its stable merge sort on floats, but may reorder tied members (-0.0 and
+    0.0 tie); these are put back in sample order by one sort of integer keys
+    (run of tied values, index), so ties cost no second float sort.  Only
+    where one value holds most of the sample is the default sort itself
+    slower than the merge sort.
+    nu must divide N; unequal group sizes and d > 1 are the binned
     generalization's job.
     """
     if raw.dimension != 1:
@@ -223,7 +237,16 @@ def pool_homogeneous(raw: RawDataset, nu: int) -> PooledDataset:
             f"nu={nu} does not divide N={raw.n}; of the estimators, only dh_binned "
             "takes any N"
         )
-    order = np.argsort(raw.covariates, kind="stable")
+    order = np.argsort(raw.covariates)
+    x = raw.covariates[order]
+    tied = x[1:] == x[:-1]
+    if tied.any():
+        # label * N + index, with one label per run of tied values, orders the
+        # members of each run by index and keeps the runs in place (keys < N²)
+        label = np.zeros(raw.n, np.int64)
+        np.cumsum(~tied, out=label[1:])
+        label *= raw.n
+        order = np.sort(label + order) - label
     return _equal_pools(raw, order, nu, "homogeneous_sorted")
 
 
@@ -254,7 +277,10 @@ def pool_binned(
     outside the region (the unit cube by default) are excluded from every
     bin but counted.  Each nonempty bin becomes a group centered at the bin
     midpoint, in the order of the bins' flat (C-order) index; empty bins
-    stay visible through the geometry's count array.
+    stay visible through the geometry's count array.  Within a bin, points
+    keep their order in the sample: a stable sort of the flat index, cast
+    to the smallest unsigned type that holds it, so that up to 65,536 bins
+    numpy sorts 16-bit keys by radix.
     """
     d = raw.dimension
     if not nu > 0:
@@ -289,7 +315,8 @@ def pool_binned(
     counts = np.bincount(flat, minlength=J**d)
     geom = replace(geom, counts=counts.reshape((J,) * d))
 
-    members = np.flatnonzero(inside)[np.argsort(flat, kind="stable")]
+    key = flat.astype(np.min_scalar_type(J**d - 1))
+    members = np.flatnonzero(inside)[np.argsort(key, kind="stable")]
     occupied = np.flatnonzero(counts)
     sizes = counts[occupied]
     centers = lo + (np.column_stack(np.unravel_index(occupied, (J,) * d)) + 0.5) * widths

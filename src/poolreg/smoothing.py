@@ -805,7 +805,12 @@ def select_bandwidth(
 
 
 def _plugin_bandwidth(u, z, spec, cands, h_cv, nu, n_raw, collapsed=False):
-    """Minimize the first-order risk, integrated over the design's central 90%."""
+    """Minimize the first-order risk, integrated over the design's central 90%.
+
+    The risk needs the pilot prevalence and its derivatives at every point
+    of the integration grid; where the pilot fit or the derivative fit fails
+    at one, this raises ``BandwidthError`` naming the first such point.
+    """
     kern = spec.kernel
     n_raw = int(n_raw) if n_raw is not None else u.shape[0] * nu
     a, b = float(np.quantile(u, 0.05)), float(np.quantile(u, 0.95))
@@ -816,7 +821,6 @@ def _plugin_bandwidth(u, z, spec, cands, h_cv, nu, n_raw, collapsed=False):
 
     h_pilot = 1.5 * h_cv
     pilot = _grid_fit_1d(u, z, spec.degree, kern, h_pilot, xg)
-    p_pilot = _pilot_prevalence(pilot["value"], nu)
 
     # Derivatives of the pilot curve by a local quadratic on the pilot grid.
     # When the CV pilot collapsed, widen the quadratic's window to a fifth of
@@ -824,9 +828,14 @@ def _plugin_bandwidth(u, z, spec, cands, h_cv, nu, n_raw, collapsed=False):
     h_der = max(h_pilot, 4.0 * (b - a) / (xg.size - 1))
     if collapsed:
         h_der = max(h_der, 0.2 * (b - a))
-    der = local_poly_derivatives(xg, p_pilot, 2, kern, h_der, xg)
-    p1 = np.nan_to_num(der[:, 1])
-    p2 = np.nan_to_num(der[:, 2])
+    p_pilot, der = _pilot_derivatives(xg, pilot["value"], nu, kern, h_der, xg)
+    failed = np.flatnonzero(np.isnan(p_pilot) | np.isnan(der).any(axis=1))
+    if failed.size:
+        raise BandwidthError(
+            f"the pilot fit fails at x = {xg[failed[0]]:.6g}: the plug-in cannot "
+            "integrate its risk there; use cv or fixed"
+        )
+    p1, p2 = der[:, 1], der[:, 2]
 
     f_hat = np.maximum(_normal_reference_density(u, xg, kern), 1e-12)
 
@@ -851,9 +860,21 @@ def _dh_first_order(p, p1, p2, f, kern: Kernel, nu, n, h):
 
 
 def _pilot_prevalence(mu_raw: np.ndarray, nu) -> np.ndarray:
-    """Invert a pilot fit of mu = (1-p)^nu; failed points give p = 0, and p < 1."""
-    mu = np.clip(np.nan_to_num(mu_raw, nan=1.0), 0.0, 1.0)
+    """Invert a pilot fit of mu = (1-p)^nu; a failed point stays NaN, and p < 1."""
+    mu = np.clip(mu_raw, 0.0, 1.0)
     return np.clip(1.0 - mu ** (1.0 / nu), 0.0, 1.0 - 1e-6)
+
+
+def _pilot_derivatives(xg, mu_raw, nu, kern: Kernel, h, x_eval):
+    """The pilot prevalence on the grid xg, and its derivatives at x_eval.
+
+    ``mu_raw`` is a pilot fit on xg.  The prevalence is NaN where that fit
+    failed; the derivatives (``local_poly_derivatives``, degree 2) are fitted
+    from the grid points where it did not.
+    """
+    p = _pilot_prevalence(mu_raw, nu)
+    ok = ~np.isnan(p)
+    return p, local_poly_derivatives(xg[ok], p[ok], 2, kern, h, x_eval)
 
 
 def _normal_reference_density(sample: np.ndarray, x: np.ndarray, kern: Kernel):

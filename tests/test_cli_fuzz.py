@@ -34,7 +34,12 @@ def _case(command, argv, x=None, y=None):
     return command, argv, x, y
 
 
-def _data(draw, hazards, nu):
+# the row counts drawn for a data file, and N for the simulation commands
+ROWS = (5, 23, 60, 149, 300)
+MODEL_ROWS = (20, 60, 150, 300)
+
+
+def _data(draw, hazards, nu, rows=ROWS):
     """Covariates (n, d) and 0/1 responses with the drawn hazards."""
     d = 2 if "bivariate" in hazards else 1
     if "few_rows" in hazards:
@@ -43,7 +48,7 @@ def _data(draw, hazards, nu):
         n = nu * draw(st.sampled_from([k for k in (2, 3, 5, 8, 12, 17)
                                        if nu * k * k <= 300])) ** 2
     else:
-        n = draw(st.sampled_from([5, 23, 60, 149, 300]))
+        n = draw(st.sampled_from(rows))
         if "nu_not_dividing" in hazards and n % nu == 0 and nu > 1:
             n -= 1
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -67,7 +72,7 @@ def _data(draw, hazards, nu):
 
 
 @st.composite
-def cli_cases(draw, command, estimator):
+def cli_cases(draw, command, estimator, rows=ROWS, model_rows=MODEL_ROWS):
     hazards = draw(st.sets(st.sampled_from(HAZARDS), min_size=1, max_size=2))
     nu = draw(st.integers(1, 8))
     scales = ["0.001", "0.05", "0.3", "2"]
@@ -80,7 +85,7 @@ def cli_cases(draw, command, estimator):
         opts += ["--kernel", draw(st.sampled_from(["epanechnikov", "uniform"]))]
     if command in MODEL_COMMANDS:
         n = (draw(st.integers(2, 4)) if "few_rows" in hazards
-             else draw(st.sampled_from([20, 60, 150, 300])))
+             else draw(st.sampled_from(model_rows)))
         if "nu_not_dividing" in hazards and n % nu == 0 and nu > 1:
             n -= 1
         model = draw(st.sampled_from(["i", "ii", "iii", "iv"]))
@@ -100,7 +105,7 @@ def cli_cases(draw, command, estimator):
     if command == "estimate_2d":  # the d-variate fit and search: no plug-in
         hazards = {"bivariate"} | set(list(hazards)[:1])
         opts[1] = draw(st.sampled_from([f"fixed:{h}", "cv"]))
-    x, y = _data(draw, hazards, nu)
+    x, y = _data(draw, hazards, nu, rows)
     grid = ["--grid", draw(st.sampled_from(["21", "0.2:0.8:5"]))]
     if command == "data-diagnostics":
         return _case(command, ["--input", "INPUT", "--nu", str(nu), *grid, *opts], x, y)

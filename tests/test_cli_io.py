@@ -270,7 +270,8 @@ def data_csv(tmp_path):
 @pytest.fixture()
 def inputs(data_csv, tmp_path):
     """Input files by placeholder: individual, pooled, no y column, bivariate
-    (also with a constant x2), and x at 0.5 in 96% of the rows."""
+    (also with a constant x2), x at 0.5 in 96% of the rows, and x with a gap
+    over [0.1, 0.9]."""
     raw = sample_replicate(make_model("iii"), 300, seed_stream(21))
     rng = np.random.default_rng(4)
     x2 = rng.uniform(size=(400, 2))
@@ -282,6 +283,10 @@ def inputs(data_csv, tmp_path):
     spike = np.where(rng.random(2000) < 0.96, 0.5, rng.uniform(size=2000))
     (tmp_path / "spike.csv").write_text(
         "x,y\n" + "".join(f"{float(a)!r},{int(a > 0.7)}\n" for a in spike))
+    gap = np.concatenate([rng.uniform(0, 0.1, 150), rng.uniform(0.9, 1, 150)])
+    (tmp_path / "gap.csv").write_text(
+        "x,y\n" + "".join(f"{float(a)!r},{int(b < 0.2)}\n"
+                          for a, b in zip(gap, rng.random(300))))
     x, y = raw.covariates, raw.responses
     for name, xs, ys in [("huge", x * 1e300, y), ("tiny", x * 1e-300, y),
                          ("pos", x, np.ones_like(y)), ("n23", x[:23], y[:23])]:
@@ -299,6 +304,8 @@ def inputs(data_csv, tmp_path):
         "POS": str(tmp_path / "pos.csv"),
         "N23": str(tmp_path / "n23.csv"),
         "SPIKE": str(tmp_path / "spike.csv"),
+        # x on [0, 0.1] and [0.9, 1]
+        "GAP": str(tmp_path / "gap.csv"),
     }
 
 
@@ -500,6 +507,8 @@ class TestCli:
          "N must be >= 1 (got N=-5)"),
         (["diagnostics", "--N", "10", "--nu", "3", "--bandwidth", "fixed:1e300",
           "--grid", "0.2:0.8:3"], "the error formulas are not finite at h = 1e+300"),
+        (["estimate", "--input", "GAP", "--estimator", "ll", "--kernel", "uniform",
+          "--bandwidth", "plugin"], "the pilot fit fails at x = "),
     ])
     def test_bad_option_value_is_a_clean_error(self, argv, message, inputs,
                                                tmp_path, caplog):

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from poolreg import (
     sample_replicate,
     seed_stream,
 )
+from poolreg import smoothing
 from poolreg.estimators import CLAMP_HIGH, CLAMP_LOW, CLAMP_NONE, FAIL_EMPTY_BIN
 from poolreg.io import ingest_pooled_csv
 from poolreg.smoothing import _grid_fit_1d
@@ -499,6 +501,27 @@ class TestAsymptoticDiagnostics:
         pooled = pool_homogeneous(RawDataset(x, rng.random(400) < 0.05 + 0.1 * x), 5)
         with pytest.raises(EstimationError, match=r"the pilot fit fails at x = 1\.45:"):
             data_mode_diagnostics(pooled, SmootherSpec(), 0.02, np.linspace(0.5, 2.4, 5))
+
+    def test_data_mode_fits_derivatives_from_the_pilot_points_that_did_not_fail(self):
+        # x on [0, 0.3] and [0.7, 1] at h = 0.002: 31 of the 128 pilot-grid
+        # points lie in the gap, and their pilot fit fails.  They were once
+        # read as p = 0, which gave B = -0.00094 at x = 0.295
+        rng = np.random.default_rng(1)
+        x = np.concatenate([rng.uniform(0, 0.3, 1000), rng.uniform(0.7, 1, 1000)])
+        pooled = pool_homogeneous(RawDataset(x, rng.random(2000) < 0.05 + 0.1 * x), 5)
+        fitted = []
+        real = smoothing.local_poly_derivatives
+
+        def spy(u, z, *args):
+            fitted.append(z)
+            return real(u, z, *args)
+
+        with mock.patch.object(smoothing, "local_poly_derivatives", spy):
+            diag = data_mode_diagnostics(pooled, SmootherSpec(), 0.002, [0.295])
+        (z,) = fitted
+        assert z.size == 128 - 31 and np.isfinite(z).all()
+        assert diag.A[0] == pytest.approx(0.0700885, rel=1e-5)
+        assert diag.B[0] == pytest.approx(-0.00097235, rel=1e-4)
 
     def test_data_mode_memory_stays_bounded(self):
         # the density once built one dense (grid x N) kernel matrix: 123 MB

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poolreg import (
     PoolingError,
@@ -13,6 +15,7 @@ from poolreg import (
     pool_random,
     pooled_negative_probability,
 )
+from poolreg.pooling import _equal_pools
 
 
 def pools(pooled):
@@ -117,6 +120,42 @@ class TestPoolHomogeneous:
         y = [0, 1, 0, 1]
         pooled = pool_homogeneous(RawDataset(x, y), 2)
         assert pooled.y_star.tolist() == [1, 1]
+
+
+def same_pools(got, want) -> bool:
+    """Pools with the same columns, bit for bit."""
+    return all(getattr(got, k).tobytes() == getattr(want, k).tobytes()
+               for k in ("member_covariates", "group_sizes", "group_centers", "y_star"))
+
+
+@st.composite
+def tied_samples(draw):
+    """(x, y, nu): x from a few values, -0.0 and 0.0 among them, or distinct
+    values with at most one -0.0/0.0 pair; 1 to 3,000 rows."""
+    nu = draw(st.integers(1, 6))
+    n = nu * draw(st.integers(1, 3000 // nu))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.sampled_from([1.0, -2.5, 5e-324, 0.3])
+                               | st.floats(-10, 10), max_size=3)) + [-0.0, 0.0]
+        x = np.array(values)[rng.integers(0, len(values), n)]
+    else:
+        x = rng.uniform(-1, 1, n)
+        if draw(st.booleans()) and n >= 2:  # one tie: -0.0 == 0.0
+            x[rng.choice(n, 2, replace=False)] = [-0.0, 0.0]
+    return x, rng.integers(0, 2, n), nu
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(tied_samples())
+def test_homogeneous_pools_take_the_stable_order(case):
+    # without ties any sort gives the stable sort's order; with a tie, the
+    # tied members keep their order in the sample
+    x, y, nu = case
+    raw = RawDataset(x, y)
+    want = _equal_pools(raw, np.argsort(raw.covariates, kind="stable"), nu,
+                        "homogeneous_sorted")
+    assert same_pools(pool_homogeneous(raw, nu), want)
 
 
 class TestPoolRandom:
@@ -234,6 +273,24 @@ class TestPoolBinned:
         for center, size in zip(pooled.centers(), pooled.sizes()):
             m = geom.count_at(np.atleast_1d(center))
             assert int(m[0]) == size
+
+    @pytest.mark.parametrize("d, J", [(1, 65_536), (1, 65_537), (2, 256), (2, 257),
+                                      (3, 13)])
+    def test_members_keep_the_stable_order_by_bin(self, d, J):
+        # the bin index is sorted in the smallest type that holds it (16 bits
+        # up to 65,536 bins, 32 above); each bin keeps its points' order in
+        # the sample, as a stable sort of the int64 index gives it
+        rng = np.random.default_rng(J)
+        n = 2 * J**d
+        raw = RawDataset(rng.uniform(-0.05, 1.05, (n, d)), rng.integers(0, 2, n))
+        pooled = pool_binned(raw, 2)
+        idx, inside = pooled.bin_geometry.locate(raw.covariates)
+        flat = np.ravel_multi_index(tuple(idx[inside].T), (J,) * d)
+        members = np.flatnonzero(inside)[np.argsort(flat, kind="stable")]
+        assert pooled.member_covariates.tobytes() == raw.covariates[members].tobytes()
+        starts = np.cumsum(pooled.sizes()) - pooled.sizes()
+        want = np.maximum.reduceat(raw.responses[members], starts)
+        assert pooled.y_star.tolist() == want.tolist()
 
     def test_custom_region(self):
         rng = np.random.default_rng(14)

@@ -355,6 +355,24 @@ class TestSelectBandwidth:
             select_bandwidth(design, plugin)
         assert select_bandwidth(design, SmootherSpec()) > 0.0
 
+    def test_plugin_refuses_a_pilot_fit_that_fails(self):
+        # the design has a gap over [0.1, 0.9], wider than the uniform
+        # kernel's window at the pilot's 1.5 h_cv: the pilot fit fails there.
+        # Its failed points were once read as p = 0, and failed derivatives
+        # as 0, and their risk integrated
+        rng = np.random.default_rng(5)
+        u = np.concatenate([rng.uniform(0, 0.1, 300), rng.uniform(0.9, 1, 300)])
+        z = (rng.random(600) < 0.8).astype(float)
+        spec = SmootherSpec(UNIFORM, 1, BandwidthRule.plugin())
+        h_cv = 0.05
+        xg = np.linspace(*np.quantile(u, [0.05, 0.95]), 128)
+        failed = np.isnan(_grid_fit_1d(u, z, 1, UNIFORM, 1.5 * h_cv, xg)["value"])
+        first = f"{xg[failed][0]:.6g}"
+        assert 0.1 < float(first) < 0.9
+        with pytest.raises(BandwidthError, match=f"the pilot fit fails at x = {first}: "):
+            smoothing._plugin_bandwidth(u, z, spec, np.array([0.05, 0.1, 0.2]), h_cv,
+                                        1, 600)
+
     def test_all_candidates_failing_names_usable_h(self):
         u = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
         z = np.zeros(6)

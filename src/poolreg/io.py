@@ -176,6 +176,7 @@ _ID_WIDTH = 32  # bytes per group_id in the vectorised parse; a longer id is rea
 # suffixes for which numpy's loadtxt, given a path, decompresses the file
 # (``np.lib._datasource``); a data file so named is read by rows, as text
 _DECOMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+_TAIL_WINDOW = 1 << 16  # bytes of a data file's end that ``_plain_text`` strips at once
 
 
 def is_pooled_csv(path) -> bool:
@@ -194,15 +195,32 @@ def _plain_text(path: Path) -> bool:
     module unquotes cells), a NUL (fixed-width bytes drop trailing NULs) or
     a byte in 0x1c-0x1f (numpy strips them around a number, ``float`` does
     not); not where a line is longer than the csv module's field limit or
-    none follows the header.
+    none follows the header.  Both line questions read only the bytes near
+    the first newline, the end of the file and each line break they step to.
     """
     data = path.read_bytes()
     if not data.isascii() or any(c in data for c in b'"\x00\x1c\x1d\x1e\x1f'):
         return False
-    breaks = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
-    return (b"\n" in data.rstrip()
-            and np.diff(breaks, prepend=-1, append=len(data)).max()
-            <= csv.field_size_limit())
+    # a line follows the header: a byte other than whitespace after the
+    # first newline, sought back from the end a window at a time
+    first = data.find(b"\n")
+    if first < 0:
+        return False
+    end = len(data)
+    while not data[max(first + 1, end - _TAIL_WINDOW) : end].rstrip():
+        end -= _TAIL_WINDOW
+        if end <= first + 1:
+            return False
+    # every line, with its newline, is at most the limit long: from the start
+    # of a line, the next break lies within the limit's reach
+    limit = csv.field_size_limit()
+    start = 0
+    while len(data) - start >= limit:
+        brk = data.rfind(b"\n", start, start + limit)
+        if brk < 0:
+            return False
+        start = brk + 1
+    return True
 
 
 def _parse_body(path: Path, d: int, ids: bool, result: bool):

@@ -41,14 +41,14 @@ class Kernel:
         if out is None:
             out = np.empty_like(u)
         if self.family == "gaussian":
-            np.multiply(u, u, out=out)
+            np.square(u, out=out)
             out *= -0.5
             np.exp(out, out=out)
             out /= _SQRT_2PI
             return out
         inside = np.abs(u) <= 1.0
         if self.family == "epanechnikov":
-            np.multiply(u, u, out=out)
+            np.square(u, out=out)
             np.subtract(1.0, out, out=out)
             out *= 0.75
             out[~inside] = 0.0

@@ -13,10 +13,15 @@ linear fit) share one exact moment engine, ``_local_moments``.  It groups
 the evaluation points into blocks of up to 64 nearby points and the design
 into slabs of 2048 points, so that a block's kernel weights (1 MiB) stay in
 a 2 MiB per-core L2 cache.  Per block it expands the basis about the block
-midpoint and forms every weighted moment with one matrix product, then
-shifts the moments exactly back to each evaluation point.  The dense
+midpoint and forms every weighted moment with one matrix product; one exact
+shift per call then moves the moments back to each evaluation point.  It
+makes as few passes over the weights as that arithmetic allows: the basis
+products go into one reused buffer, and where the gaussian weights of a
+block and a slab are provably all positive, no pass counts them.  The dense
 per-point implementation it replaced is kept in the tests as the oracle it
-is checked against (``tests/dense_oracle.py``).  A d-variate fit at nodes
+is checked against (``tests/dense_oracle.py``), and the engine as it formed
+its weights before those savings as the oracle its moments must equal bit
+for bit (``tests/blocked_oracle.py``).  A d-variate fit at nodes
 of the lattice of the design's distinct values per axis, such as the bin
 centres of the binned estimator, forms its moments on that lattice instead
 where that is cheaper (``_grid_fit_multi``), failing where the engine fails.
@@ -54,6 +59,11 @@ PIVOT_REL_TOL = 1e-12
 # (1 MiB), stay in a 2 MiB per-core L2 cache across the passes made over them.
 _EVAL_BLOCK = 64
 _DESIGN_SLAB = 2048
+# A computed gaussian weight is positive wherever |t|^2 <= 36^2, for the
+# density and for the radial profile: exp(-648) ~ 1e-282 is a normal double.
+# The last positive weights lie at |t| = 38.58 (density) and |t|^2 = 1490
+# (profile), beyond anything rounding can carry a bound of 36 to.
+_GAUSS_POSITIVE_R2 = 36.0**2
 
 # Kernel density estimates hold about this many kernel values (8 MiB) at once.
 _DENSITY_BLOCK = 1 << 20
@@ -202,13 +212,6 @@ def _eval_blocks(x_eval: np.ndarray, width: float) -> list[np.ndarray]:
     return np.split(order, np.flatnonzero(rank % _EVAL_BLOCK == 0)[1:])
 
 
-def _basis(s: np.ndarray, n: int) -> np.ndarray:
-    """phi(s): the powers 1, s, .., s^(n-1) of a univariate s, else (1, s_1, .., s_d)."""
-    if s.shape[1] == 1:
-        return np.vander(s[:, 0], n, increasing=True)
-    return np.column_stack([np.ones(s.shape[0]), s])
-
-
 def _shift_matrix(delta: np.ndarray, n: int) -> np.ndarray:
     """A(delta) with phi(s - delta) = A(delta) phi(s), one matrix per row of delta.
 
@@ -250,29 +253,44 @@ def _local_moments(
     Work runs block by block (see ``_eval_blocks``) over slabs of
     ``_DESIGN_SLAB`` design points.  Within a block the basis is expanded about
     the block midpoint x0, ``s = (u - x0)/h``, so one matrix product ``W @ P``,
-    with P the basis products of s and z, sums every moment of the block.  The
-    exact shift ``phi(s - delta) = A(delta) phi(s)``, ``delta = (x - x0)/h``,
-    then gives ``S = A S_s A^T`` and ``r = A r_s``.  Kernel arguments are
-    formed as ``(u - x)/h``, as a dense fit forms them, so counts and compact
-    supports do not depend on the blocking.
+    with P the basis products of s and z, sums every moment of the block.  P
+    is written column by column into one buffer per call, C-ordered: BLAS
+    rounds the product differently for another layout.  The exact shift ``phi(s - delta) = A(delta) phi(s)``,
+    ``delta = (x - x0)/h``, then gives ``S = A S_s A^T`` and ``r = A r_s``,
+    applied once per call to every point.  Kernel arguments are formed as
+    ``(u - x)/h``, as a dense fit forms them, so counts and compact supports
+    do not depend on the blocking; each is the slab's row of u with the
+    block's column of x subtracted in place.  The count takes a pass over the
+    weights only where it is in doubt: a gaussian weight is positive
+    wherever ``|t|^2 <= _GAUSS_POSITIVE_R2``, and the coordinate extremes of
+    a block and a slab bound every ``|t|`` between them.
     """
     J, d = u.shape
     M = x_eval.shape[0]
     n = degree + 1 if d == 1 else d + 1
     iu, ju = np.triu_indices(n)
     n_pairs = iu.size
-    S = np.zeros((M, n, n))
-    r = np.zeros((M, n))
     count = np.zeros(M, dtype=np.int64)
     if M == 0:
-        return S, r, count
+        return np.zeros((M, n, n)), np.zeros((M, n)), count
+    G = np.empty((M, n_pairs + n))
+    mid = np.empty((M, d))
 
+    slabs = range(0, J, _DESIGN_SLAB)
+    # per slab, the coordinate extremes: with a block's, they bound its |t|
+    u_lo = np.array([u[lo : lo + _DESIGN_SLAB].min(axis=0) for lo in slabs]).reshape(-1, d)
+    u_hi = np.array([u[lo : lo + _DESIGN_SLAB].max(axis=0) for lo in slabs]).reshape(-1, d)
+    u_rows = np.ascontiguousarray(u.T)
     # one set of buffers per call: a fresh 1 MiB temporary per block and slab
     # costs more in page faults than the arithmetic done on it
     shape = (min(M, _EVAL_BLOCK), min(J, _DESIGN_SLAB))
     w_buf = np.empty(shape)
     t_buf = np.empty(shape) if d > 1 else None
     pos_buf = np.empty(shape, dtype=bool)
+    # [phi_i phi_j for i <= j, z phi]: the pairs (0, j) come first, and
+    # phi_0 = 1, so the first n columns are phi itself
+    P_buf = np.empty((shape[1], n_pairs + n))
+    P_buf[:, 0] = 1.0
     # Re-centring cancels terms as large as (|t| + 2|delta|)^(2 degree) down
     # to moments of size |t|^(2 degree).  Blocks 2h/degree wide keep
     # |delta| <= 1/degree, so that loss stays below (1 + 2/degree)^(2 degree),
@@ -282,35 +300,57 @@ def _local_moments(
     with np.errstate(over="ignore", invalid="ignore"):
         for idx in _eval_blocks(x_eval, 2.0 * h / degree):
             x = x_eval[idx]
-            x0 = 0.5 * (x.min(axis=0) + x.max(axis=0))
-            G = np.zeros((idx.size, n_pairs + n))
+            x_lo, x_hi = x.min(axis=0), x.max(axis=0)
+            x0 = 0.5 * (x_lo + x_hi)
+            mid[idx] = x0
+            # a NaN or infinite bound settles nothing
+            settled = (kern.family == "gaussian") & (
+                np.square(np.maximum(u_hi - x_lo, x_hi - u_lo) / h).sum(axis=1)
+                <= _GAUSS_POSITIVE_R2)
+            Gb = np.zeros((idx.size, n_pairs + n))
             cnt = np.zeros(idx.size, dtype=np.int64)
-            for lo in range(0, J, _DESIGN_SLAB):
-                us = u[lo : lo + _DESIGN_SLAB]
-                w = w_buf[: idx.size, : us.shape[0]]
-                np.subtract(us[None, :, 0], x[:, None, 0], out=w)
+            for s, lo in enumerate(slabs):
+                hi = min(lo + _DESIGN_SLAB, J)
+                w = w_buf[: idx.size, : hi - lo]
+                np.copyto(w, u_rows[0, lo:hi])
+                w -= x[:, :1]
                 w /= h
                 if d == 1:
                     kern.pdf(w, out=w)
                 else:
-                    np.multiply(w, w, out=w)
-                    t = t_buf[: idx.size, : us.shape[0]]
+                    np.square(w, out=w)
+                    t = t_buf[: idx.size, : hi - lo]
                     for k in range(1, d):
-                        np.subtract(us[None, :, k], x[:, None, k], out=t)
+                        np.copyto(t, u_rows[k, lo:hi])
+                        t -= x[:, k : k + 1]
                         t /= h
-                        w += np.multiply(t, t, out=t)
+                        w += np.square(t, out=t)
                     kern.radial_profile(w, out=w)
-                cnt += np.greater(w, 0.0, out=pos_buf[: idx.size, : us.shape[0]]).sum(axis=1)
-                phi = _basis((us - x0) / h, n)
-                zs = z[lo : lo + _DESIGN_SLAB, None]
-                G += w @ np.hstack([phi[:, iu] * phi[:, ju], zs * phi])
-            S_s = np.empty((idx.size, n, n))
-            S_s[:, iu, ju] = G[:, :n_pairs]
-            S_s[:, ju, iu] = G[:, :n_pairs]
-            A = _shift_matrix((x - x0) / h, n)
-            S[idx] = A @ S_s @ A.transpose(0, 2, 1)
-            r[idx] = (A @ G[:, n_pairs:, None])[:, :, 0]
+                if settled[s]:
+                    cnt += hi - lo
+                else:
+                    cnt += np.greater(w, 0.0, out=pos_buf[: idx.size, : hi - lo]).sum(axis=1)
+                # column by column: numpy loops a broadcast over the short
+                # axis of P innermost, several times slower
+                P = P_buf[: hi - lo]
+                for k in range(d):
+                    np.subtract(u_rows[k, lo:hi], x0[k], out=P[:, k + 1])
+                    P[:, k + 1] /= h
+                for k in range(d + 1, n):  # the powers s^k, d = 1
+                    np.multiply(P[:, k - 1], P[:, 1], out=P[:, k])
+                for p in range(n, n_pairs):
+                    np.multiply(P[:, iu[p]], P[:, ju[p]], out=P[:, p])
+                for k in range(n):
+                    np.multiply(z[lo:hi], P[:, k], out=P[:, n_pairs + k])
+                Gb += w @ P
+            G[idx] = Gb
             count[idx] = cnt
+        S_s = np.empty((M, n, n))
+        S_s[:, iu, ju] = G[:, :n_pairs]
+        S_s[:, ju, iu] = G[:, :n_pairs]
+        A = _shift_matrix((x_eval - mid) / h, n)
+        S = A @ S_s @ A.transpose(0, 2, 1)
+        r = (A @ G[:, n_pairs:, None])[:, :, 0]
     return S, r, count
 
 

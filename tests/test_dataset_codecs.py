@@ -323,8 +323,8 @@ RESULT_HAZARDS = ["+1", "01", " 1", "1 ", "1.0", "1\x00", "\x001", "2", "10", "-
 ID_HAZARDS = ["", " ", " a", "a ", "\ta", "a\x1c", "\x1fa", '"a"', "#a", "a\x00", "é",
               "x" * 32 + "a", "x" * 32 + "b", "x" * 31, "x" * 32, "a b", "g000001 "]
 LINE_HAZARDS = ["", " ", "\t", "#", "# a comment", ",", ",,", "\x00"]
-IDS = (st.sampled_from(["a", "b", "lab7", "g000001", "g000002", "G1", "x" * 31])
-       | st.sampled_from(ID_HAZARDS))
+PLAIN_IDS = ["a", "b", "lab7", "g000001", "g000002", "G1", "x" * 31]
+IDS = st.sampled_from(PLAIN_IDS) | st.sampled_from(ID_HAZARDS)
 # a prefix that makes every id of a file longer than any fixed width, so that
 # a read at such a width would merge its groups
 ID_PREFIX = st.sampled_from(["", "", "x" * 32, "y" * 1000])
@@ -355,17 +355,33 @@ def data_files(draw):
         hazards = {"x": X_HAZARDS, "result": RESULT_HAZARDS}
     else:
         header = ["group_id"] + [f"x{k}" for k in range(1, d + 1)] + ["group_result"]
-        prefix = draw(ID_PREFIX)
-        ids = [prefix + i for i in draw(st.lists(IDS, min_size=1, max_size=4, unique=True))]
+        # one file in three has several short plain ids, as the vectorised
+        # parse reads them; the rest may have a long prefix or an id hazard
+        plain = draw(st.integers(0, 2)) == 0
+        if plain:
+            ids = draw(st.lists(st.sampled_from(PLAIN_IDS), min_size=2, max_size=4,
+                                unique=True))
+            n = len(x) + len(ids)
+            x += [draw(st.lists(COVARIATE, min_size=d, max_size=d)) for _ in ids]
+        else:
+            prefix = draw(ID_PREFIX)
+            ids = [prefix + i for i in draw(st.lists(IDS, min_size=1, max_size=4,
+                                                     unique=True))]
         results = draw(st.sampled_from([[0] * len(ids), [1] * len(ids)])
                        | st.lists(st.integers(0, 1), min_size=len(ids), max_size=len(ids)))
         group = draw(st.lists(st.integers(0, len(ids) - 1), min_size=n, max_size=n))
-        if draw(st.booleans()):  # contiguous groups in shuffled order: sortable
+        if plain:  # every group has a row
+            group[: len(ids)] = range(len(ids))
+        layout = draw(st.sampled_from(["interleaved", "contiguous", "split"]))
+        if layout != "interleaved":  # contiguous groups in shuffled order: sortable
             x.sort()
             blocks = draw(st.permutations(range(len(ids))))
             group = sorted(group)
             x = [xi for b in blocks for xi, g in zip(x, group) if g == b]
             group = [g for b in blocks for g in group if g == b]
+        if layout == "split":  # the first group's run cut in two, one part at the end
+            cut = draw(st.integers(1, max(1, group.count(group[0]) - 1)))
+            x, group = x[cut:] + x[:cut], group[cut:] + group[:cut]
         rows = [[ids[g]] + [float_cell(v, style) for v in xi] + [str(results[g])]
                 for xi, g in zip(x, group)]
         hazards = {"x": X_HAZARDS, "result": RESULT_HAZARDS, "id": ID_HAZARDS}
@@ -419,7 +435,8 @@ def row_loop_ingest(fmt, path):
 
 
 def test_vectorised_parse_matches_the_row_loop(tmp_path):
-    outcomes = {"vectorised": 0, "row loop": 0, "error": 0}
+    outcomes = {"vectorised": 0, "row loop": 0, "error": 0,
+                "vectorised, pooled with several groups": 0}
 
     @settings(max_examples=600, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture,
@@ -447,10 +464,70 @@ def test_vectorised_parse_matches_the_row_loop(tmp_path):
             got = INGEST[fmt](path)
         assert same_dataset(got, want)
         outcomes["row loop" if parse.called else "vectorised"] += 1
+        if fmt == POOL and not parse.called and got.n_groups > 1:
+            outcomes["vectorised, pooled with several groups"] += 1
 
     check()
     # the comparison must not be vacuous: each outcome is common
     assert min(outcomes.values()) >= 25, outcomes
+
+
+def reference_plain_text(path) -> bool:
+    """``io._plain_text`` as it first answered, with whole-file temporaries."""
+    data = path.read_bytes()
+    if not data.isascii() or any(c in data for c in b'"\x00\x1c\x1d\x1e\x1f'):
+        return False
+    breaks = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    return (b"\n" in data.rstrip()
+            and np.diff(breaks, prepend=-1, append=len(data)).max()
+            <= csv.field_size_limit())
+
+
+@st.composite
+def texts_near_a_limit(draw):
+    """(field size limit, file bytes): lines of about the limit's length.
+
+    Line lengths sit at the limit and one either side of it, with a newline
+    and without; line breaks mix LF, CR and CRLF; the file may end in
+    whitespace alone after its header, or be the header alone.
+    """
+    limit = draw(st.integers(2, 12))
+    cells = st.sampled_from([b"a", b"0", b".", b",", b"1", b" ", b"\t"])
+    short = st.integers(0, limit - 2)  # within the limit, with a CRLF
+    lengths = st.one_of(short, short, short, st.integers(limit - 2, limit + 1))
+    lines = [b"".join(draw(st.lists(cells, min_size=k, max_size=k)))
+             for k in draw(st.lists(lengths, min_size=2, max_size=6))]
+    breaks = st.sampled_from([b"\n"] * 4 + [b"\r\n", b"\r", b"\n\n", b"\r\r\n"])
+    data = b"".join(line + draw(breaks) for line in lines[:-1]) + lines[-1]
+    data += draw(st.sampled_from([b"", b"\n", b" ", b"\r\n", b" \t\r\n", b"\n\n  \n",
+                                  b"\x0b\x0c", b"\n" + b" " * 9]))
+    if draw(st.integers(0, 9)) == 0:  # a byte that sends any file to the row loop
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b'"', b"\x00", b"\x1d", b"\xff"])) + data[at:]
+    return limit, data
+
+
+def test_plain_text_answers_as_with_whole_file_temporaries(tmp_path, monkeypatch):
+    answers = {True: 0, False: 0}
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(texts_near_a_limit(), st.integers(1, 4))
+    def check(case, window):
+        limit, data = case
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        monkeypatch.setattr(pio, "_TAIL_WINDOW", window)  # whitespace tails of several windows
+        old = csv.field_size_limit(limit)
+        try:
+            got, want = pio._plain_text(path), reference_plain_text(path)
+        finally:
+            csv.field_size_limit(old)
+        assert got == want, (limit, data)
+        answers[want] += 1
+
+    check()
+    assert min(answers.values()) >= 50, answers
 
 
 def write_screen_files(tmp_path, n: int = 2000, nu: int = 5):

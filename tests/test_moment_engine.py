@@ -6,9 +6,14 @@ intercept weights, self weights and derivatives must agree to 1e-10 relative
 wherever the local moment matrix is well conditioned (relative pivot
 ``rho >= 1e-3``); below that the bound grows as ``1e-3 / rho``, because an
 ill-conditioned solve amplifies rounding in either implementation alike.
+
+The engine's moments and counts must also equal, bit for bit, those of the
+engine as it formed its weights before (``blocked_oracle.py``): the two
+round every term alike.
 """
 
 import numpy as np
+from blocked_oracle import local_moments as blocked_moments
 from dense_oracle import (
     _grid_fit_1d as dense_fit_1d,
     grid_fit_local_linear_multi as dense_fit_multi,
@@ -21,6 +26,7 @@ from hypothesis import strategies as st
 from poolreg import EPANECHNIKOV, GAUSSIAN, UNIFORM
 from poolreg.smoothing import (
     _grid_fit_1d,
+    _local_moments,
     grid_fit_local_linear_multi,
     local_poly_derivatives,
 )
@@ -120,3 +126,44 @@ def test_bivariate_fit_matches_dense_oracle(case):
     ok = _check_fits(got, want, rho, np.abs(z).max())
     assert _close(got["self_w"][ok], want["self_w"][ok],
                   np.abs(want["self_w"][ok]), rho[ok]).all()
+
+
+@st.composite
+def engine_cases(draw):
+    """``designs`` in d = 1-3, a third of them at one of two kinds of extreme h.
+
+    At the underflow edge the largest |t| of the design is 36-40, around the
+    last positive gaussian weight (|t| = 38.58).  Scaled by 1e306 the
+    coordinates stay finite, but (u - x)/h overflows.
+    """
+    d = draw(st.integers(1, 3))
+    u, z, x, h, degree, kern = draw(designs(d))
+    kind = draw(st.sampled_from(["as drawn", "as drawn", "as drawn", "as drawn",
+                                 "underflow edge", "overflow"]))
+    if kind == "underflow edge":
+        span = max((u.max(axis=0) - x.min(axis=0)).max(),
+                   (x.max(axis=0) - u.min(axis=0)).max())
+        h = span / draw(st.floats(36.0, 40.0))
+    elif kind == "overflow":
+        centre = u.mean(axis=0)
+        u, x = (u - centre) * 1e306, (x - centre) * 1e306
+    return u, z, x, h, degree, kern
+
+
+def _same_bits(got, want) -> bool:
+    """Equal arrays, NaN where the other is NaN and bit for bit elsewhere (-0.0 too)."""
+    nan = np.isnan(want)
+    return (np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(engine_cases())
+def test_engine_moments_equal_the_blocked_oracle_bit_for_bit(case):
+    u, z, x, h, degree, kern = case
+    S, r, count = _local_moments(u, z, degree, kern, h, x)
+    S0, r0, count0 = blocked_moments(u, z, degree, kern, h, x)
+    np.testing.assert_array_equal(count, count0)
+    assert _same_bits(S, S0)
+    assert _same_bits(r, r0)
